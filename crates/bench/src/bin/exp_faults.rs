@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use monityre_bench::{expect, header, parse_args, record_faults_bench, FaultsBenchResult};
+use monityre_bench::{expect, header, parse_args, record_bench, FaultsBenchResult};
 use monityre_faults::{FaultKind, FaultPlan};
 use monityre_serve::{Op, Request, RetryPolicy, RetryingClient, ServerConfig};
 
@@ -160,5 +160,5 @@ fn main() {
     if options.check {
         return; // never race concurrent test runs on BENCH_faults.json
     }
-    record_faults_bench(result);
+    record_bench(result);
 }

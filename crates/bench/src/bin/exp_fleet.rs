@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use monityre_bench::{expect, header, parse_args, record_fleet_bench, FleetBenchResult};
+use monityre_bench::{expect, header, parse_args, record_bench, FleetBenchResult};
 use monityre_fleet::{run_fleet, FleetReport, FleetRun, FleetSpec, FLEET_EVAL_STEPS};
 use monityre_serve::{Client, Op, Payload, Request, ServerConfig};
 
@@ -91,7 +91,7 @@ fn main() {
     }
 
     let best_secs = serial_secs.min(fanned_secs);
-    record_fleet_bench(FleetBenchResult {
+    record_bench(FleetBenchResult {
         name: "exp-fleet-stream".to_owned(),
         vehicles: spec.vehicles as usize,
         rounds: spec.rounds as usize,

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use monityre_bench::{expect, header, parse_args, record_ingest_bench, IngestBenchResult};
+use monityre_bench::{expect, header, parse_args, record_bench, IngestBenchResult};
 use monityre_ingest::{
     synthetic_points, IngestConfig, Ingestor, SegmentStore, StoreConfig, TelemetryPoint,
 };
@@ -135,7 +135,7 @@ fn main() {
     let store = total as f64 / store_secs;
     let pipeline = total as f64 / pipeline_secs;
     let replay = total as f64 / replay_secs;
-    record_ingest_bench(IngestBenchResult {
+    record_bench(IngestBenchResult {
         name: "exp-ingest-stream".to_owned(),
         points: total,
         batch: BATCH,

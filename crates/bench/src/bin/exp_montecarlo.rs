@@ -5,8 +5,7 @@
 //! serial one; the harness also records the draw throughput.
 
 use monityre_bench::{
-    expect, header, measure_sweep, parse_args, record_sweep_bench, reference_scenario,
-    BENCH_THREADS,
+    expect, header, measure_sweep, parse_args, record_bench, reference_scenario, BENCH_THREADS,
 };
 use monityre_core::report::Table;
 use monityre_core::{MonteCarlo, SweepExecutor, VariationModel};
@@ -81,5 +80,5 @@ fn main() {
             .expect("distribution samples");
         assert!(timed.yield_at(Speed::from_kmh(45.0)) > 0.0);
     });
-    record_sweep_bench(result);
+    record_bench(result);
 }

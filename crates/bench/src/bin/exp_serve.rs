@@ -10,8 +10,7 @@ use std::thread;
 use std::time::Instant;
 
 use monityre_bench::{
-    best_overhead, expect, header, parse_args, record_obs_bench, record_serve_bench,
-    ObsBenchResult, ServeBenchResult,
+    best_overhead, expect, header, parse_args, record_bench, ObsBenchResult, ServeBenchResult,
 };
 use monityre_serve::{Client, Op, Request, ServerConfig, TraceContext};
 
@@ -260,8 +259,8 @@ fn main() {
              (observed {on_rps:.0} req/s vs bare {off_rps:.0} req/s)"
         );
     }
-    record_serve_bench(result);
-    record_obs_bench(ObsBenchResult {
+    record_bench(result);
+    record_bench(ObsBenchResult {
         name: "serve-loopback-traced".into(),
         points: batch,
         batches: trace_reps,
@@ -271,7 +270,7 @@ fn main() {
         overhead_pct: trace_pct,
     });
     for (name, on_rps, off_rps, pct) in observation {
-        record_obs_bench(ObsBenchResult {
+        record_bench(ObsBenchResult {
             name: (*name).to_owned(),
             points: batch,
             batches: trace_reps,

@@ -1,7 +1,7 @@
 //! EXP-SHEET — the "dynamic spreadsheet" of §II-A: hosting the power
 //! database on the live sheet, measuring edit-propagation correctness,
 //! and benchmarking the compiled recalculation engine (full rebuild vs
-//! incremental edit vs value cutoff, across worker counts).
+//! incremental edit vs value cutoff).
 //!
 //! Modes:
 //! - default: the power-database ripple table, then the full-size
@@ -11,11 +11,10 @@
 //!   `BENCH_sheet.json` and asserts the recorded schema — the CI guard.
 
 use monityre_bench::{
-    expect, header, parse_args, points_per_sec, record_sheet_bench, reference_fixture,
-    sheet_bench_path, HarnessOptions, SheetBenchResult,
+    bench_path, expect, header, parse_args, points_per_sec, record_bench, reference_fixture,
+    HarnessOptions, SheetBenchResult,
 };
 use monityre_core::report::Table;
-use monityre_core::{install_parallel_recompute, SweepExecutor};
 use monityre_sheet::{PowerSheet, Sheet};
 use monityre_units::Temperature;
 
@@ -60,21 +59,16 @@ fn build_workbook(width: usize, depth: usize) -> Sheet {
     sheet
 }
 
-/// Times one thread count over the shared workbook shape and returns the
-/// comparison row. `serial_cells_per_sec` is the 1-thread full-rebuild
-/// throughput the speedup is read against (pass the row's own value for
-/// the 1-thread row itself).
+/// Times full rebuilds and incremental edits over the workbook shape and
+/// returns the row.
 fn measure_recalc(
     width: usize,
     depth: usize,
     edits: usize,
     batches: usize,
     reps: usize,
-    threads: usize,
-    serial_cells_per_sec: Option<f64>,
 ) -> SheetBenchResult {
     let mut sheet = build_workbook(width, depth);
-    install_parallel_recompute(&mut sheet, SweepExecutor::new(threads));
     sheet.compile().expect("graph builds");
     let formulas = depth * width + 2 * width;
     let cells = sheet.len();
@@ -102,18 +96,16 @@ fn measure_recalc(
 
     let full_rebuilds_per_sec = full / formulas as f64;
     SheetBenchResult {
-        name: format!("sheet-recalc-t{threads}"),
+        name: "sheet-recalc".to_owned(),
         cells,
         formulas,
         edits,
         batches,
-        threads,
         cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         full_cells_per_sec: full,
         incremental_edits_per_sec: incremental,
         incremental_speedup: incremental / full_rebuilds_per_sec,
         cutoff_cut_cells,
-        parallel_speedup: full / serial_cells_per_sec.unwrap_or(full),
     }
 }
 
@@ -151,34 +143,25 @@ fn run_benchmark(options: HarnessOptions) {
     } else {
         (256, 4, 64, 2, 3)
     };
-    let t1 = measure_recalc(width, depth, edits, batches, reps, 1, None);
-    let serial = t1.full_cells_per_sec;
-    let rows = vec![
-        t1,
-        measure_recalc(width, depth, edits, batches, reps, 2, Some(serial)),
-        measure_recalc(width, depth, edits, batches, reps, 4, Some(serial)),
-    ];
-    for row in rows {
-        if !options.smoke {
-            expect(
-                options,
-                "incremental edits beat a full rebuild 10x",
-                row.incremental_speedup >= 10.0,
-            );
-        }
-        record_sheet_bench(row);
+    let row = measure_recalc(width, depth, edits, batches, reps);
+    if !options.smoke {
+        expect(
+            options,
+            "incremental edits beat a full rebuild 10x",
+            row.incremental_speedup >= 10.0,
+        );
     }
+    record_bench(row);
 
     if options.smoke {
-        let text = std::fs::read_to_string(sheet_bench_path()).expect("BENCH_sheet.json exists");
+        let text = std::fs::read_to_string(bench_path::<SheetBenchResult>())
+            .expect("BENCH_sheet.json exists");
         let rows: Vec<SheetBenchResult> =
             serde_json::from_str(&text).expect("BENCH_sheet.json parses");
         expect(
             options,
-            "BENCH_sheet.json carries one row per thread count",
-            [1, 2, 4]
-                .iter()
-                .all(|&t| rows.iter().any(|r| r.name == format!("sheet-recalc-t{t}"))),
+            "BENCH_sheet.json carries the serial sheet-recalc row",
+            rows.iter().any(|r| r.name == "sheet-recalc"),
         );
         expect(
             options,
@@ -188,7 +171,6 @@ fn run_benchmark(options: HarnessOptions) {
                     && r.formulas > 0
                     && r.edits > 0
                     && r.batches >= 1
-                    && r.threads >= 1
                     && r.cpus >= 1
             }),
         );
@@ -200,21 +182,6 @@ fn run_benchmark(options: HarnessOptions) {
                     && r.incremental_edits_per_sec > 0.0
                     && r.incremental_speedup > 0.0
                     && r.cutoff_cut_cells > 0
-            }),
-        );
-        // A 1-CPU container cannot show real parallel speedup; the row
-        // records `cpus` precisely so readers (and this guard) scale
-        // expectations to the hardware that measured it.
-        expect(
-            options,
-            "parallel speedup is recorded against the 1-thread row",
-            rows.iter().all(|r| {
-                r.parallel_speedup
-                    > if r.cpus >= 4 && r.threads == 4 {
-                        1.0
-                    } else {
-                        0.0
-                    }
             }),
         );
     }

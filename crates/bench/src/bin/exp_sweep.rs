@@ -12,8 +12,8 @@
 //! < 2 % apiece).
 
 use monityre_bench::{
-    best_overhead, expect, header, parse_args, points_per_sec, record_obs_bench,
-    reference_scenario, ObsBenchResult,
+    best_overhead, expect, header, parse_args, points_per_sec, record_bench, reference_scenario,
+    ObsBenchResult,
 };
 use monityre_core::{EnergyBalance, SweepExecutor};
 use monityre_units::Speed;
@@ -176,7 +176,7 @@ fn main() {
             "{name}: observability overhead {pct:.2} % exceeds the 2 % budget \
              (on {on:.0} pts/s vs off {off:.0} pts/s)"
         );
-        record_obs_bench(ObsBenchResult {
+        record_bench(ObsBenchResult {
             name: name.into(),
             points: POINTS,
             batches: BATCHES,

@@ -2,9 +2,7 @@
 //! energy generated by the scavenger and required by the whole system,
 //! with the break-even point (Fig. 2 of the paper).
 
-use monityre_bench::{
-    expect, header, measure_sweep, parse_args, record_sweep_bench, reference_scenario,
-};
+use monityre_bench::{expect, header, measure_sweep, parse_args, record_bench, reference_scenario};
 use monityre_core::report::{ascii_chart, Series, Table};
 use monityre_core::{speed_grid, EnergyBalance};
 use monityre_units::Speed;
@@ -105,5 +103,5 @@ fn main() {
         });
         assert_eq!(points.len(), items.len());
     });
-    record_sweep_bench(result);
+    record_bench(result);
 }

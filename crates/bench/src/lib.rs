@@ -211,14 +211,67 @@ pub fn measure_sweep<F: FnMut(&SweepExecutor)>(
     }
 }
 
-/// Where the sweep benchmark rows live: `BENCH_sweep.json` at the
-/// repository root.
+/// One row of a `BENCH_*.json` file at the repository root. Every file
+/// holds a JSON array of one row type, sorted by name.
+pub trait BenchRow: Serialize + Deserialize {
+    /// The file name, e.g. `BENCH_sweep.json`.
+    const FILE: &'static str;
+
+    /// The merge key: a recorded row replaces the stored row of the same
+    /// name.
+    fn name(&self) -> &str;
+
+    /// The one-line summary printed when the row is recorded.
+    fn summary(&self) -> String;
+
+    /// A timing floor the row breaks, if any (see [`record_bench`]).
+    fn floor_violation(&self) -> Option<String> {
+        None
+    }
+}
+
+/// Where `R`'s rows live: its file at the repository root.
 #[must_use]
-pub fn sweep_bench_path() -> PathBuf {
+pub fn bench_path<R: BenchRow>() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")
-        .join("BENCH_sweep.json")
+        .join(R::FILE)
+}
+
+/// Merges `row` into its BENCH file, replacing any existing row with the
+/// same name, and prints its one-line summary.
+///
+/// # Panics
+///
+/// Panics when the file cannot be read, parsed or written — a harness
+/// misconfiguration worth failing loudly on — and, only when
+/// [`BENCH_STRICT_ENV_VAR`] is `1`, when the row breaks its timing floor
+/// ([`BenchRow::floor_violation`]). By default the floor only warns: a
+/// single wall-clock sample on a loaded or throttled 1-CPU runner is too
+/// noisy to fail a whole job on.
+pub fn record_bench<R: BenchRow>(row: R) {
+    if let Some(message) = row.floor_violation() {
+        if std::env::var(BENCH_STRICT_ENV_VAR).is_ok_and(|v| v == "1") {
+            panic!("{message}");
+        }
+        eprintln!("warning: {message}");
+    }
+    let path = bench_path::<R>();
+    let mut rows: Vec<R> = match std::fs::read_to_string(&path) {
+        Ok(text) => {
+            serde_json::from_str(&text).unwrap_or_else(|e| panic!("{} parses: {e}", R::FILE))
+        }
+        Err(_) => Vec::new(),
+    };
+    println!("bench {}: {}", row.name(), row.summary());
+    match rows.iter_mut().find(|stored| stored.name() == row.name()) {
+        Some(stored) => *stored = row,
+        None => rows.push(row),
+    }
+    rows.sort_by(|a, b| a.name().cmp(b.name()));
+    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
+    std::fs::write(&path, text + "\n").unwrap_or_else(|e| panic!("{} writes: {e}", R::FILE));
 }
 
 /// The 1-CPU floor check: on a single CPU a parallel pass cannot beat
@@ -242,47 +295,29 @@ pub fn one_cpu_floor_violation(result: &SweepBenchResult) -> Option<String> {
 /// Env var that turns the 1-CPU floor warning into a hard failure.
 pub const BENCH_STRICT_ENV_VAR: &str = "MONITYRE_BENCH_STRICT";
 
-/// Merges `result` into `BENCH_sweep.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on — and, only when
-/// [`BENCH_STRICT_ENV_VAR`] is `1`, when a 1-CPU row breaks the 10 %
-/// handoff budget ([`one_cpu_floor_violation`]). By default the floor
-/// only warns: a single wall-clock sample on a loaded or throttled
-/// 1-CPU runner is too noisy to fail a whole job on.
-pub fn record_sweep_bench(result: SweepBenchResult) {
-    if let Some(message) = one_cpu_floor_violation(&result) {
-        if std::env::var(BENCH_STRICT_ENV_VAR).is_ok_and(|v| v == "1") {
-            panic!("{message}");
-        }
-        eprintln!("warning: {message}");
+impl BenchRow for SweepBenchResult {
+    const FILE: &'static str = "BENCH_sweep.json";
+
+    fn name(&self) -> &str {
+        &self.name
     }
-    let path = sweep_bench_path();
-    let mut rows: Vec<SweepBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_sweep.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} points x {} batches, serial {:.0} pts/s, {} threads {:.0} pts/s ({:.2}x on {} cpu(s))",
-        result.name,
-        result.points,
-        result.batches,
-        result.serial_points_per_sec,
-        result.threads,
-        result.parallel_points_per_sec,
-        result.speedup,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
+
+    fn summary(&self) -> String {
+        format!(
+            "{} points x {} batches, serial {:.0} pts/s, {} threads {:.0} pts/s ({:.2}x on {} cpu(s))",
+            self.points,
+            self.batches,
+            self.serial_points_per_sec,
+            self.threads,
+            self.parallel_points_per_sec,
+            self.speedup,
+            self.cpus
+        )
     }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_sweep.json writes");
+
+    fn floor_violation(&self) -> Option<String> {
+        one_cpu_floor_violation(self)
+    }
 }
 
 /// One throughput row of `BENCH_serve.json`: concurrent loopback clients
@@ -311,47 +346,25 @@ pub struct ServeBenchResult {
     pub p99_ms: f64,
 }
 
-/// Where the serving benchmark rows live: `BENCH_serve.json` at the
-/// repository root.
-#[must_use]
-pub fn serve_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_serve.json")
-}
+impl BenchRow for ServeBenchResult {
+    const FILE: &'static str = "BENCH_serve.json";
 
-/// Merges `result` into `BENCH_serve.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_serve_bench(result: ServeBenchResult) {
-    let path = serve_bench_path();
-    let mut rows: Vec<ServeBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_serve.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} client(s) x {} request(s) on {} worker(s), {:.0} req/s (p50 {:.2} ms, p99 {:.2} ms, {} cpu(s))",
-        result.name,
-        result.clients,
-        result.batches,
-        result.workers,
-        result.requests_per_sec,
-        result.p50_ms,
-        result.p99_ms,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
+    fn name(&self) -> &str {
+        &self.name
     }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_serve.json writes");
+
+    fn summary(&self) -> String {
+        format!(
+            "{} client(s) x {} request(s) on {} worker(s), {:.0} req/s (p50 {:.2} ms, p99 {:.2} ms, {} cpu(s))",
+            self.clients,
+            self.batches,
+            self.workers,
+            self.requests_per_sec,
+            self.p50_ms,
+            self.p99_ms,
+            self.cpus
+        )
+    }
 }
 
 /// One row of `BENCH_faults.json`: the same loopback batch served clean
@@ -383,52 +396,30 @@ pub struct FaultsBenchResult {
     pub dedup_hits: u64,
 }
 
-/// Where the fault-injection rows live: `BENCH_faults.json` at the
-/// repository root.
-#[must_use]
-pub fn faults_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_faults.json")
-}
+impl BenchRow for FaultsBenchResult {
+    const FILE: &'static str = "BENCH_faults.json";
 
-/// Merges `result` into `BENCH_faults.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_faults_bench(result: FaultsBenchResult) {
-    let path = faults_bench_path();
-    let mut rows: Vec<FaultsBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_faults.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: plan `{}`, clean {:.0} req/s, faulty {:.0} req/s ({} fault(s), {} retr(ies), {} replay(s), {} cpu(s))",
-        result.name,
-        result.plan,
-        result.clean_requests_per_sec,
-        result.faulty_requests_per_sec,
-        result.faults_injected,
-        result.retries,
-        result.dedup_hits,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
+    fn name(&self) -> &str {
+        &self.name
     }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_faults.json writes");
+
+    fn summary(&self) -> String {
+        format!(
+            "plan `{}`, clean {:.0} req/s, faulty {:.0} req/s ({} fault(s), {} retr(ies), {} replay(s), {} cpu(s))",
+            self.plan,
+            self.clean_requests_per_sec,
+            self.faulty_requests_per_sec,
+            self.faults_injected,
+            self.retries,
+            self.dedup_hits,
+            self.cpus
+        )
+    }
 }
 
 /// One row of `BENCH_sheet.json`: the synthetic layered workbook timed
 /// on the compiled recalculation engine — full rebuild vs incremental
-/// edit vs value cutoff — at a given worker count.
+/// edit vs value cutoff — on the calling thread.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SheetBenchResult {
     /// Which recalculation scenario was measured (the merge key).
@@ -441,12 +432,7 @@ pub struct SheetBenchResult {
     pub edits: usize,
     /// Full rebuilds one timed pass performs.
     pub batches: usize,
-    /// Worker threads wide levels fan across.
-    pub threads: usize,
-    /// Hardware threads available when the row was measured. Parallel
-    /// speedup is bounded by this: a 1-CPU container measures ≈ 1x
-    /// however many workers run, so read `parallel_speedup` against
-    /// `cpus`, not `threads`.
+    /// Hardware threads available when the row was measured.
     pub cpus: usize,
     /// Full-rebuild throughput in formula cells per second.
     pub full_cells_per_sec: f64,
@@ -459,53 +445,27 @@ pub struct SheetBenchResult {
     /// Dependent cells the value cutoff stopped from recomputing during
     /// the incremental pass (bit-equal saturated clamps).
     pub cutoff_cut_cells: u64,
-    /// `full_cells_per_sec` at this thread count over the 1-thread row.
-    pub parallel_speedup: f64,
 }
 
-/// Where the sheet recalculation rows live: `BENCH_sheet.json` at the
-/// repository root.
-#[must_use]
-pub fn sheet_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_sheet.json")
-}
+impl BenchRow for SheetBenchResult {
+    const FILE: &'static str = "BENCH_sheet.json";
 
-/// Merges `result` into `BENCH_sheet.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_sheet_bench(result: SheetBenchResult) {
-    let path = sheet_bench_path();
-    let mut rows: Vec<SheetBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_sheet.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} cells ({} formulas), full {:.0} cells/s on {} thread(s) ({:.2}x vs serial, {} cpu(s)), incremental {:.0} edits/s ({:.0}x a rebuild), {} cut",
-        result.name,
-        result.cells,
-        result.formulas,
-        result.full_cells_per_sec,
-        result.threads,
-        result.parallel_speedup,
-        result.cpus,
-        result.incremental_edits_per_sec,
-        result.incremental_speedup,
-        result.cutoff_cut_cells
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
+    fn name(&self) -> &str {
+        &self.name
     }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_sheet.json writes");
+
+    fn summary(&self) -> String {
+        format!(
+            "{} cells ({} formulas), full {:.0} cells/s ({} cpu(s)), incremental {:.0} edits/s ({:.0}x a rebuild), {} cut",
+            self.cells,
+            self.formulas,
+            self.full_cells_per_sec,
+            self.cpus,
+            self.incremental_edits_per_sec,
+            self.incremental_speedup,
+            self.cutoff_cut_cells
+        )
+    }
 }
 
 /// One row of `BENCH_ingest.json`: the streaming-ingest pipeline timed
@@ -541,48 +501,26 @@ pub struct IngestBenchResult {
     pub replay_ms_per_million: f64,
 }
 
-/// Where the ingest benchmark rows live: `BENCH_ingest.json` at the
-/// repository root.
-#[must_use]
-pub fn ingest_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_ingest.json")
-}
+impl BenchRow for IngestBenchResult {
+    const FILE: &'static str = "BENCH_ingest.json";
 
-/// Merges `result` into `BENCH_ingest.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_ingest_bench(result: IngestBenchResult) {
-    let path = ingest_bench_path();
-    let mut rows: Vec<IngestBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_ingest.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} points in batches of {}, store {:.0} pts/s, pipeline {:.0} pts/s ({:+.2} % aggregation), replay {:.0} pts/s ({:.0} ms per million points, {} cpu(s))",
-        result.name,
-        result.points,
-        result.batch,
-        result.store_points_per_sec,
-        result.pipeline_points_per_sec,
-        result.aggregation_overhead_pct,
-        result.replay_points_per_sec,
-        result.replay_ms_per_million,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
+    fn name(&self) -> &str {
+        &self.name
     }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_ingest.json writes");
+
+    fn summary(&self) -> String {
+        format!(
+            "{} points in batches of {}, store {:.0} pts/s, pipeline {:.0} pts/s ({:+.2} % aggregation), replay {:.0} pts/s ({:.0} ms per million points, {} cpu(s))",
+            self.points,
+            self.batch,
+            self.store_points_per_sec,
+            self.pipeline_points_per_sec,
+            self.aggregation_overhead_pct,
+            self.replay_points_per_sec,
+            self.replay_ms_per_million,
+            self.cpus
+        )
+    }
 }
 
 /// One row of `BENCH_obs.json`: the same sweep batch timed with the
@@ -608,46 +546,24 @@ pub struct ObsBenchResult {
     pub overhead_pct: f64,
 }
 
-/// Where the observability-overhead rows live: `BENCH_obs.json` at the
-/// repository root.
-#[must_use]
-pub fn obs_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_obs.json")
-}
+impl BenchRow for ObsBenchResult {
+    const FILE: &'static str = "BENCH_obs.json";
 
-/// Merges `result` into `BENCH_obs.json`, replacing any existing row with
-/// the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_obs_bench(result: ObsBenchResult) {
-    let path = obs_bench_path();
-    let mut rows: Vec<ObsBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_obs.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} points x {} batches, spans on {:.0} pts/s, off {:.0} pts/s ({:+.2} % overhead on {} cpu(s))",
-        result.name,
-        result.points,
-        result.batches,
-        result.enabled_points_per_sec,
-        result.disabled_points_per_sec,
-        result.overhead_pct,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
+    fn name(&self) -> &str {
+        &self.name
     }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_obs.json writes");
+
+    fn summary(&self) -> String {
+        format!(
+            "{} points x {} batches, spans on {:.0} pts/s, off {:.0} pts/s ({:+.2} % overhead on {} cpu(s))",
+            self.points,
+            self.batches,
+            self.enabled_points_per_sec,
+            self.disabled_points_per_sec,
+            self.overhead_pct,
+            self.cpus
+        )
+    }
 }
 
 /// One row of `BENCH_fleet.json`: the deterministic fleet workload
@@ -678,48 +594,26 @@ pub struct FleetBenchResult {
     pub optimize_candidates_per_sec: f64,
 }
 
-/// Where the fleet benchmark rows live: `BENCH_fleet.json` at the
-/// repository root.
-#[must_use]
-pub fn fleet_bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_fleet.json")
-}
+impl BenchRow for FleetBenchResult {
+    const FILE: &'static str = "BENCH_fleet.json";
 
-/// Merges `result` into `BENCH_fleet.json`, replacing any existing row
-/// with the same name, and prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics when the file cannot be read, parsed or written — a harness
-/// misconfiguration worth failing loudly on.
-pub fn record_fleet_bench(result: FleetBenchResult) {
-    let path = fleet_bench_path();
-    let mut rows: Vec<FleetBenchResult> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).expect("BENCH_fleet.json parses"),
-        Err(_) => Vec::new(),
-    };
-    println!(
-        "bench {}: {} vehicle(s) x {} round(s) = {} point(s), {:.1} vehicles/s, {:.0} pts/s over the wire, optimize {:.0} candidates/s ({} thread(s), {} cpu(s))",
-        result.name,
-        result.vehicles,
-        result.rounds,
-        result.points,
-        result.vehicles_per_sec,
-        result.points_per_sec,
-        result.optimize_candidates_per_sec,
-        result.threads,
-        result.cpus
-    );
-    match rows.iter_mut().find(|row| row.name == result.name) {
-        Some(row) => *row = result,
-        None => rows.push(result),
+    fn name(&self) -> &str {
+        &self.name
     }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    let text = serde_json::to_string_pretty(&rows).expect("rows serialize");
-    std::fs::write(&path, text + "\n").expect("BENCH_fleet.json writes");
+
+    fn summary(&self) -> String {
+        format!(
+            "{} vehicle(s) x {} round(s) = {} point(s), {:.1} vehicles/s, {:.0} pts/s over the wire, optimize {:.0} candidates/s ({} thread(s), {} cpu(s))",
+            self.vehicles,
+            self.rounds,
+            self.points,
+            self.vehicles_per_sec,
+            self.points_per_sec,
+            self.optimize_candidates_per_sec,
+            self.threads,
+            self.cpus
+        )
+    }
 }
 
 #[cfg(test)]
@@ -789,13 +683,11 @@ mod tests {
             formulas: 1280,
             edits: 64,
             batches: 2,
-            threads: 4,
             cpus: 4,
             full_cells_per_sec: 1_000_000.0,
             incremental_edits_per_sec: 40_000.0,
             incremental_speedup: 51.2,
             cutoff_cut_cells: 8192,
-            parallel_speedup: 2.4,
         };
         let json = serde_json::to_string(&vec![row]).unwrap();
         let back: Vec<SheetBenchResult> = serde_json::from_str(&json).unwrap();

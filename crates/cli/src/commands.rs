@@ -409,19 +409,18 @@ pub(crate) fn vehicle(args: &Args) -> Result<String, CliError> {
 ///
 /// `--set name=value` (repeatable, applied in order) edits cells before
 /// the table is printed: a numeric right-hand side writes a literal, any
-/// other text is parsed as a formula. Recompute runs on the compiled
-/// engine with wide levels fanned across `--threads` workers.
+/// other text is parsed as a formula. Recompute runs serially on the
+/// compiled engine.
 pub(crate) fn sheet(args: &Args) -> Result<String, CliError> {
     let explain = args.text_opt("explain");
     let edits = args.texts("set");
-    let executor = executor_from(args)?;
+    executor_from(args)?; // recompute is serial; the flag is still accepted
     let conditions = args.conditions()?;
     args.finish()?;
 
     let architecture = Architecture::reference();
     let db = architecture.database().clone();
     let mut sheet = PowerSheet::new(&db).map_err(eval_error)?;
-    monityre_core::install_parallel_recompute(sheet.sheet_mut(), executor);
     sheet
         .set_temperature(conditions.temperature(), &db)
         .map_err(eval_error)?;

@@ -64,7 +64,6 @@ mod montecarlo;
 mod optimizer;
 pub mod report;
 mod scenario;
-mod sheet_par;
 mod trace;
 mod vehicle;
 mod workbook;
@@ -91,7 +90,6 @@ pub use optimizer::{
     BreakEvenOptimizer, CandidateConfig, LedgerDelta, OptimizeReport, DUTY_POLICIES,
 };
 pub use scenario::{Scenario, ScenarioBuilder};
-pub use sheet_par::{install_parallel_recompute, SweepLevelMap};
 pub use trace::{InstantTrace, TraceSample};
 pub use vehicle::{CornerSetup, VehicleEmulator, VehicleReport, WheelPosition};
 pub use workbook::EnergyWorkbook;

@@ -18,6 +18,12 @@
 //! on the record path; the dump path is the sole cross-thread reader, and
 //! it recovers poisoned locks with `into_inner` so a panicking worker can
 //! never wedge the dump that is trying to explain the panic.
+//!
+//! A thread that exits hands its ring to a free list, and the next thread
+//! to record takes a free ring before it allocates one, so short-lived
+//! workers do not grow the ring list without bound. A freed ring keeps
+//! its records until its new owner overwrites them, so a dump still shows
+//! what an exited thread recorded.
 
 use std::borrow::Cow;
 use std::fs::OpenOptions;
@@ -131,27 +137,60 @@ impl ThreadLog {
 
 type SharedLog = Arc<Mutex<ThreadLog>>;
 
-/// Every thread that ever recorded, for the dump path to walk.
+/// Every ring ever allocated, for the dump path to walk.
 fn all_logs() -> &'static Mutex<Vec<SharedLog>> {
     static LOGS: OnceLock<Mutex<Vec<SharedLog>>> = OnceLock::new();
     LOGS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// Rings whose threads have exited, waiting for a new owner.
+fn free_logs() -> &'static Mutex<Vec<SharedLog>> {
+    static FREE: OnceLock<Mutex<Vec<SharedLog>>> = OnceLock::new();
+    FREE.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// A thread's claim on its ring; dropped when the thread exits, which
+/// hands the ring to the free list.
+struct LocalLog(SharedLog);
+
+impl Drop for LocalLog {
+    fn drop(&mut self) {
+        free_logs()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(Arc::clone(&self.0));
+    }
+}
+
 thread_local! {
-    static LOCAL: OnceLock<SharedLog> = const { OnceLock::new() };
+    static LOCAL: LocalLog = LocalLog(claim_log());
+}
+
+/// Takes a freed ring if there is one, or allocates and registers a new
+/// one.
+fn claim_log() -> SharedLog {
+    let freed = free_logs()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .pop();
+    if let Some(log) = freed {
+        // Spans the exited thread never closed are not this thread's.
+        log.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .open
+            .clear();
+        return log;
+    }
+    let log = Arc::new(Mutex::new(ThreadLog::default()));
+    all_logs()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .push(Arc::clone(&log));
+    log
 }
 
 fn local_log() -> SharedLog {
-    LOCAL.with(|cell| {
-        Arc::clone(cell.get_or_init(|| {
-            let log = Arc::new(Mutex::new(ThreadLog::default()));
-            all_logs()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(Arc::clone(&log));
-            log
-        }))
-    })
+    LOCAL.with(|local| Arc::clone(&local.0))
 }
 
 /// Whether the rings record at all; on by default (the whole point is
@@ -394,8 +433,17 @@ mod tests {
     use super::*;
     use crate::context::{install_context, TraceContext};
 
+    /// Serializes the tests that read their own records back against the
+    /// one that switches recording off process-wide.
+    fn recording_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn spans_land_in_the_ring_with_trace_ids() {
+        let _lock = recording_lock();
         let ctx = TraceContext::root(99);
         {
             let _g = install_context(ctx);
@@ -419,6 +467,7 @@ mod tests {
 
     #[test]
     fn open_spans_dump_as_truncated_records() {
+        let _lock = recording_lock();
         let ctx = TraceContext::root(123);
         let _g = install_context(ctx);
         let _held = crate::span("recorder.open");
@@ -469,6 +518,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
+        let _lock = recording_lock();
         set_recording(false);
         let before = snapshot()
             .iter()
@@ -487,7 +537,38 @@ mod tests {
     }
 
     #[test]
+    fn exited_threads_hand_their_rings_on() {
+        let _lock = recording_lock();
+        let rings = || {
+            all_logs()
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .len()
+        };
+        let before = rings();
+        for i in 0..1000 {
+            std::thread::spawn(move || record_event(format!("recorder.recycle.{i}")))
+                .join()
+                .expect("recording thread exits cleanly");
+        }
+        // One thread is live at a time; the slack covers test threads
+        // that record concurrently.
+        let grown = rings() - before;
+        assert!(
+            grown <= 16,
+            "{grown} rings allocated for 1000 exited threads"
+        );
+        assert!(
+            snapshot()
+                .iter()
+                .any(|r| r.name == "recorder.recycle.999" && r.kind == RecordKind::Event),
+            "an exited thread's event stays in the dump"
+        );
+    }
+
+    #[test]
     fn events_carry_the_current_context() {
+        let _lock = recording_lock();
         let ctx = TraceContext::root(555);
         {
             let _g = install_context(ctx);

@@ -192,7 +192,7 @@ impl ServerConfig {
                 lru: crate::worker::ScenarioLru::new(self.cache_capacity),
                 stats: Arc::new(Stats::new()),
                 dedup: DedupMap::new(self.dedup_capacity),
-                sheet: std::sync::Mutex::new(crate::worker::reference_sheet(executor)),
+                sheet: std::sync::Mutex::new(crate::worker::reference_sheet()),
                 ingest: std::sync::Mutex::new(ingestor),
                 last_ledger: std::sync::Mutex::new(crate::worker::startup_ledger()),
             },

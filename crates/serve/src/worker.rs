@@ -186,12 +186,10 @@ pub(crate) fn startup_ledger() -> Option<EnergyLedger> {
 
 /// Builds the workbook a server (or the in-process [`evaluate`] helper)
 /// hosts: the reference architecture's power database bound onto a
-/// sheet, compiled, with parallel level recompute installed over
-/// `executor`.
-pub(crate) fn reference_sheet(executor: SweepExecutor) -> PowerSheet {
+/// sheet and compiled.
+pub(crate) fn reference_sheet() -> PowerSheet {
     let mut sheet =
         PowerSheet::new(Architecture::reference().database()).expect("reference workbook builds");
-    monityre_core::install_parallel_recompute(sheet.sheet_mut(), executor);
     sheet
         .sheet_mut()
         .compile()
@@ -769,7 +767,7 @@ pub fn evaluate(
     if matches!(request.op, Op::SheetEdit | Op::SheetEval) {
         // A fresh reference workbook per call: the payload matches what a
         // freshly-started server answers for the same request.
-        let mut sheet = reference_sheet(*executor);
+        let mut sheet = reference_sheet();
         return run_sheet_op(request, &mut sheet);
     }
     if matches!(request.op, Op::Ingest | Op::IngestState) {

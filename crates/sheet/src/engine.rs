@@ -6,33 +6,28 @@
 //! formula edits), and the dependency graph is leveled into a
 //! [`CalcGraph`] — topological *levels* rebuilt only on structural edits.
 //! An edit marks the edited cell's dependents dirty and walks the levels
-//! in order; cells inside one level are independent by construction, so a
-//! [`LevelMap`] may fan them out across worker threads. A recomputed cell
-//! whose value is bit-equal to its previous value stops propagation to
-//! its dependents (**value cutoff**).
+//! in order on the calling thread. A recomputed cell whose value is
+//! bit-equal to its previous value stops propagation to its dependents
+//! (**value cutoff**).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
 
 use crate::compile::{compile, Program, Vm};
-use crate::{parse, Expr, SheetError};
+use crate::{parse, SheetError};
 
 /// What a cell holds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CellContent {
     /// A literal number (an input cell).
     Number(f64),
-    /// A formula (a derived cell). The source text is kept for
-    /// serialization and display; the AST is re-parsed on load.
+    /// A derived cell. Only the source text is stored; the sheet keeps
+    /// the compiled program alongside and recompiles it on load.
     Formula {
         /// The formula source text.
         source_text: String,
-        /// The parsed expression (not serialized; rebuilt from the text).
-        #[serde(skip, default)]
-        expr: Option<Expr>,
     },
 }
 
@@ -47,30 +42,6 @@ pub struct RecomputeStats {
     pub cut: u64,
     /// Topological levels the wave touched.
     pub levels: usize,
-}
-
-/// Strategy for evaluating the independent cells of one topological level.
-///
-/// The serial default runs inline. `monityre-core` provides a
-/// `SweepExecutor`-backed implementation that chunks wide levels across
-/// worker threads (respecting `MONITYRE_THREADS`); install it with
-/// [`Sheet::set_level_map`]. Implementations must return exactly `count`
-/// results, with `out[i] == eval(i)` — they may only reorder *when* each
-/// task runs, never what it computes, so parallel recompute stays
-/// bit-identical to serial.
-pub trait LevelMap: fmt::Debug + Send + Sync {
-    /// Evaluates tasks `0..count`; `eval(i)` is pure and thread-safe.
-    fn map_level(&self, count: usize, eval: &(dyn Fn(usize) -> f64 + Sync)) -> Vec<f64>;
-}
-
-/// The inline (single-threaded) level evaluator.
-#[derive(Debug, Clone, Copy, Default)]
-struct SerialLevelMap;
-
-impl LevelMap for SerialLevelMap {
-    fn map_level(&self, count: usize, eval: &(dyn Fn(usize) -> f64 + Sync)) -> Vec<f64> {
-        (0..count).map(eval).collect()
-    }
 }
 
 /// A compiled formula node: its program plus the slot→cell-id mapping.
@@ -238,7 +209,7 @@ impl CalcGraph {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Sheet {
     cells: BTreeMap<String, CellContent>,
     values: BTreeMap<String, f64>,
@@ -250,26 +221,9 @@ pub struct Sheet {
     /// The leveled graph; `None` after a structural edit until the next
     /// recompute needs it.
     graph: Option<CalcGraph>,
-    level_map: Arc<dyn LevelMap>,
     evaluations: u64,
     cuts: u64,
     last: RecomputeStats,
-}
-
-impl Default for Sheet {
-    fn default() -> Self {
-        Self {
-            cells: BTreeMap::new(),
-            values: BTreeMap::new(),
-            dependents: BTreeMap::new(),
-            programs: BTreeMap::new(),
-            graph: None,
-            level_map: Arc::new(SerialLevelMap),
-            evaluations: 0,
-            cuts: 0,
-            last: RecomputeStats::default(),
-        }
-    }
 }
 
 impl Sheet {
@@ -345,12 +299,6 @@ impl Sheet {
         self.last
     }
 
-    /// Installs the level evaluation strategy (see [`LevelMap`]). The
-    /// default runs levels inline on the calling thread.
-    pub fn set_level_map(&mut self, level_map: Arc<dyn LevelMap>) {
-        self.level_map = level_map;
-    }
-
     /// Forces compilation: lowers any uncompiled formulas to bytecode and
     /// rebuilds the leveled graph if a structural edit invalidated it.
     /// Recompute paths do this lazily; benchmarks call it to take graph
@@ -358,8 +306,8 @@ impl Sheet {
     ///
     /// # Errors
     ///
-    /// Propagates parse errors from formulas whose ASTs must be rebuilt
-    /// (only possible for cells deserialized from tampered input).
+    /// Propagates parse errors from formulas that must be recompiled from
+    /// their source text.
     pub fn compile(&mut self) -> Result<(), SheetError> {
         self.ensure_graph()
     }
@@ -457,9 +405,13 @@ impl Sheet {
         {
             return Err(SheetError::cycle(name));
         }
-        // Trial evaluation (through the retained AST interpreter) before
-        // mutating anything.
-        let value = self.evaluate(&expr, name)?;
+        // Trial evaluation on the VM before mutating anything.
+        let program = compile(&expr);
+        self.evaluations += 1;
+        let value = Vm::new().run(&program, |slot| self.values[&program.cells()[slot]]);
+        if !value.is_finite() {
+            return Err(SheetError::non_finite(name));
+        }
 
         self.unlink(name);
         for dep in &deps {
@@ -468,14 +420,12 @@ impl Sheet {
                 .or_default()
                 .insert(name.to_owned());
         }
-        self.programs
-            .insert(name.to_owned(), Arc::new(compile(&expr)));
+        self.programs.insert(name.to_owned(), Arc::new(program));
         self.graph = None;
         self.cells.insert(
             name.to_owned(),
             CellContent::Formula {
                 source_text: source_text.to_owned(),
-                expr: Some(expr),
             },
         );
         self.values.insert(name.to_owned(), value);
@@ -508,10 +458,10 @@ impl Sheet {
     /// Forward dependencies of a cell (empty for literals).
     #[must_use]
     pub fn dependencies_of(&self, name: &str) -> BTreeSet<String> {
-        match self.cells.get(name) {
-            Some(CellContent::Formula { expr: Some(e), .. }) => e.dependencies(),
-            _ => BTreeSet::new(),
-        }
+        self.programs
+            .get(name)
+            .map(|program| program.cells().iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Cells whose formulas reference `name`, directly.
@@ -621,9 +571,8 @@ impl Sheet {
 
     /// Rebuilds a sheet from bare cell contents: literals first, then
     /// formulas in dependency order (a single Kahn pass over the parsed
-    /// dependency sets — no quadratic retry). Every formula's AST is
-    /// re-parsed, recompiled, and re-evaluated, so loaded values are
-    /// always fresh.
+    /// dependency sets — no quadratic retry). Every formula is re-parsed,
+    /// recompiled, and re-evaluated, so loaded values are always fresh.
     fn from_cells(cells: BTreeMap<String, CellContent>) -> Result<Self, SheetError> {
         let mut sheet = Sheet::new();
         let mut formulas: BTreeMap<String, (String, BTreeSet<String>)> = BTreeMap::new();
@@ -714,24 +663,6 @@ impl Sheet {
         false
     }
 
-    /// The AST interpreter, retained as the trial evaluator for new
-    /// formulas and as the reference the compiled engine is property-tested
-    /// against.
-    fn evaluate(&mut self, expr: &Expr, name: &str) -> Result<f64, SheetError> {
-        self.evaluations += 1;
-        let values = &self.values;
-        let value = expr.eval(&|dep: &str| {
-            values
-                .get(dep)
-                .copied()
-                .ok_or_else(|| SheetError::unknown_cell(dep))
-        })?;
-        if !value.is_finite() {
-            return Err(SheetError::non_finite(name));
-        }
-        Ok(value)
-    }
-
     /// Compiles missing programs and rebuilds the leveled graph if a
     /// structural edit invalidated it.
     fn ensure_graph(&mut self) -> Result<(), SheetError> {
@@ -739,12 +670,9 @@ impl Sheet {
             return Ok(());
         }
         for (name, content) in &self.cells {
-            if let CellContent::Formula { source_text, expr } = content {
+            if let CellContent::Formula { source_text } = content {
                 if !self.programs.contains_key(name) {
-                    let program = match expr {
-                        Some(e) => compile(e),
-                        None => compile(&parse(source_text)?),
-                    };
+                    let program = compile(&parse(source_text)?);
                     self.programs.insert(name.clone(), Arc::new(program));
                 }
             }
@@ -775,9 +703,7 @@ impl Sheet {
     /// One recompute wave over the leveled graph. With a seed, only the
     /// seed's transitive dependents are dirty and value cutoff prunes the
     /// frontier; with `None` every formula cell recomputes (full rebuild,
-    /// no cutoff). Wide levels fan out through the installed [`LevelMap`];
-    /// evaluation counts are merged centrally so
-    /// [`Sheet::evaluation_count`] is thread-count independent.
+    /// no cutoff). One [`Vm`] runs every cell of every level in turn.
     fn wave(
         &mut self,
         graph: &mut CalcGraph,
@@ -801,7 +727,7 @@ impl Sheet {
                 }
             }
         }
-        let level_map = Arc::clone(&self.level_map);
+        let mut vm = Vm::new();
         for level in 0..buckets.len() {
             let mut tasks = std::mem::take(&mut buckets[level]);
             if tasks.is_empty() {
@@ -809,26 +735,15 @@ impl Sheet {
             }
             tasks.sort_unstable();
             stats.levels += 1;
-            let results = {
-                let graph = &*graph;
-                let tasks = &tasks;
-                let eval = |i: usize| {
-                    let node = graph.nodes[tasks[i]]
-                        .as_ref()
-                        .expect("level cells are formula cells");
-                    Vm::new().run(&node.program, |slot| graph.values[node.deps[slot]])
-                };
-                if tasks.len() == 1 {
-                    vec![eval(0)]
-                } else {
-                    level_map.map_level(tasks.len(), &eval)
-                }
-            };
-            debug_assert_eq!(results.len(), tasks.len());
             self.evaluations += tasks.len() as u64;
             stats.evaluated += tasks.len() as u64;
-            for (i, &cell) in tasks.iter().enumerate() {
-                let value = results[i];
+            // Cells within a level never read each other, so writing a
+            // result back before its neighbours run changes nothing.
+            for &cell in &tasks {
+                let node = graph.nodes[cell]
+                    .as_ref()
+                    .expect("level cells are formula cells");
+                let value = vm.run(&node.program, |slot| graph.values[node.deps[slot]]);
                 if !value.is_finite() {
                     return Err(SheetError::non_finite(&graph.names[cell]));
                 }
@@ -1140,9 +1055,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_rebuilds_asts_and_values() {
+    fn serde_round_trip_rebuilds_programs_and_values() {
         // Through serde directly (not `to_json`/`from_json`): deserialized
-        // sheets must hold re-parsed ASTs and freshly recomputed values.
+        // sheets must hold recompiled programs and freshly recomputed
+        // values.
         let mut s = chain_sheet();
         s.set_formula("e", "min(d, 100) + sqrt(c)").unwrap();
         let json = serde_json::to_string(&s).unwrap();
@@ -1153,12 +1069,13 @@ mod tests {
                 s.value(name).unwrap().to_bits(),
                 "cell {name}"
             );
-            // ASTs are live, not just stored text.
-            if matches!(
-                restored.content(name).unwrap(),
-                CellContent::Formula { expr: None, .. }
-            ) {
-                panic!("cell {name} deserialized without a rebuilt AST");
+            // Programs are live, not just stored text.
+            if matches!(restored.content(name).unwrap(), CellContent::Formula { .. }) {
+                assert_eq!(
+                    restored.programs.get(name),
+                    s.programs.get(name),
+                    "cell {name} deserialized without a rebuilt program"
+                );
             }
         }
         // And they stay live: edits ripple.

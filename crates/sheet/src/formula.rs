@@ -155,6 +155,10 @@ impl Expr {
 
     /// Evaluates the expression with `lookup` resolving cell references.
     ///
+    /// The sheet engine never calls this: it runs compiled programs (see
+    /// [`crate::compile`]). This tree walk is the reference semantics the
+    /// compiled VM is tested against, bit for bit.
+    ///
     /// # Errors
     ///
     /// Propagates lookup failures (unknown cells).

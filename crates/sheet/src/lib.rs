@@ -19,8 +19,6 @@
 //!   stratified into topological levels, and editing a cell re-evaluates
 //!   only its dirty dependents level by level — stopping early wherever a
 //!   recomputed value is bit-equal to the old one (**value cutoff**);
-//! * **parallel level recompute** through the pluggable [`LevelMap`]
-//!   seam (monityre-core installs a `SweepExecutor`-backed one);
 //! * **cycle rejection** at edit time;
 //! * a **power-database binding** ([`PowerSheet`]) that hosts a
 //!   [`monityre_power::PowerDatabase`] on the sheet: condition cells
@@ -56,6 +54,6 @@ mod error;
 mod formula;
 
 pub use binding::PowerSheet;
-pub use engine::{CellContent, LevelMap, RecomputeStats, Sheet};
+pub use engine::{CellContent, RecomputeStats, Sheet};
 pub use error::SheetError;
 pub use formula::{parse, Expr};

@@ -1,10 +1,10 @@
 //! Property-based tests for the spreadsheet engine: the incremental
 //! recompute path must agree with a full recompute for arbitrary DAGs and
 //! edit sequences, and the compiled bytecode VM must agree bit-for-bit
-//! with the retained AST interpreter.
+//! with the reference AST interpreter.
 
 use monityre_sheet::compile::{compile, Vm};
-use monityre_sheet::{CellContent, Sheet};
+use monityre_sheet::{parse, CellContent, Sheet};
 use proptest::prelude::*;
 
 /// A recipe for building a random formula DAG over `n_lit` literal cells:
@@ -148,7 +148,7 @@ proptest! {
         prop_assert_eq!(sheet.value(&prev).unwrap(), before);
     }
 
-    /// The compiled bytecode VM is bit-identical to the retained AST
+    /// The compiled bytecode VM is bit-identical to the reference AST
     /// interpreter on every formula of every randomized workbook, before
     /// and after a burst of edits.
     #[test]
@@ -164,11 +164,10 @@ proptest! {
         let mut vm = Vm::new();
         for i in 0..count {
             let name = cell_name(i);
-            let CellContent::Formula { expr: Some(expr), .. } =
-                sheet.content(&name).unwrap().clone()
-            else {
+            let CellContent::Formula { source_text } = sheet.content(&name).unwrap() else {
                 continue;
             };
+            let expr = parse(source_text).unwrap();
             let interpreted = expr.eval(&|dep: &str| sheet.value(dep)).unwrap();
             let program = compile(&expr);
             let compiled = vm.run(&program, |slot| {
