@@ -158,12 +158,13 @@ fn exp_ingest_check() {
 
 #[test]
 fn harnesses_print_series_without_flags() {
-    // Spot check: the FIG2 harness emits CSV rows when not in check mode.
-    let output = Command::new(env!("CARGO_BIN_EXE_fig2_balance"))
+    // Spot check: the FIG3 harness emits CSV rows when not in check mode.
+    // It records no BENCH row, so this run rewrites no tracked file.
+    let output = Command::new(env!("CARGO_BIN_EXE_fig3_instant"))
         .output()
-        .expect("fig2 runs");
+        .expect("fig3 runs");
     assert!(output.status.success());
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("speed_kmh,generated_uj,required_uj,net_uj"));
-    assert!(stdout.contains("break-even speed:"));
+    assert!(stdout.contains("time_ms,power_uw"));
+    assert!(stdout.contains("round period"));
 }

@@ -7,7 +7,7 @@
 //! discovered in the field. This crate supplies the test half of that
 //! bargain: a [`FaultPlan`] is a seeded schedule of injectable faults
 //! that the `monityre-serve` stack consults at its instrumented choke
-//! points (the accept loop, the worker pool, response stream I/O).
+//! points (the accept loop, admitted evaluations, response stream I/O).
 //!
 //! Design rules, each load-bearing:
 //!

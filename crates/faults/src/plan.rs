@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use monityre_obs::{names, Counter, Registry};
+use monityre_obs::{names, splitmix64, Counter, Registry};
 
 /// The environment variable `monityre serve` reads at startup:
 /// `MONITYRE_FAULTS=<seed>:<kind>=<prob>[,<kind>=<prob>...]`.
@@ -36,11 +36,12 @@ pub enum FaultKind {
     /// Flip the response line's first byte to an invalid-UTF-8 value, so
     /// the corruption is always detectable by the client.
     CorruptFrame,
-    /// Panic inside the worker mid-job; the pool must catch it, answer
-    /// the client with a retryable `internal` error, and keep serving.
+    /// Panic inside an evaluation mid-job; the server must catch it,
+    /// answer the client with a retryable `internal` error, and keep
+    /// serving.
     WorkerPanic,
-    /// Pause a worker before it picks up its next job — queue-wait and
-    /// deadline pressure without any protocol damage.
+    /// Pause an admitted evaluation before it starts, holding its slot —
+    /// queue-wait and deadline pressure without any protocol damage.
     QueueStall,
     /// Sleep before writing the (correct) response.
     DelayResponse,
@@ -107,14 +108,6 @@ impl FaultKind {
             .position(|kind| *kind == self)
             .expect("every kind is in ALL")
     }
-}
-
-/// splitmix64 — the standard finalizer; every bit of the input avalanches.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A seeded, deterministic fault schedule.

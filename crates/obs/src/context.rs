@@ -40,8 +40,9 @@ pub struct SpanIds {
     pub parent_id: u64,
 }
 
-/// Sebastiano Vigna's `splitmix64` — the same mixer the fault plan and
-/// retrying client use, so seeded runs stay reproducible end to end.
+/// Sebastiano Vigna's `splitmix64` — the one mixer the fault plan, the
+/// retrying client and the fleet generator call, so seeded runs stay
+/// reproducible end to end.
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

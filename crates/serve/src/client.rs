@@ -16,7 +16,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use monityre_obs::{names, Counter, Histogram, Registry, SpanGuard, TraceContext};
+use monityre_obs::{names, splitmix64, Counter, Histogram, Registry, SpanGuard, TraceContext};
 
 use crate::protocol::{
     decode_response_line, ErrorCode, ProtocolError, Request, Response, WireError, MAX_LINE_BYTES,
@@ -278,15 +278,6 @@ impl std::fmt::Display for AttemptError {
             AttemptError::Retryable(e) => write!(f, "server `{}`: {}", e.code.name(), e.message),
         }
     }
-}
-
-/// splitmix64 — the jitter/key mixer (same finalizer the fault plan
-/// uses; duplicated to keep the dependency edge one-way).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// FNV-1a over the serialized request — the content half of an

@@ -21,7 +21,7 @@
 //! Only *successful* responses are remembered: caching a transient
 //! failure would turn every retry of it into the same failure forever.
 //! Completed entries are evicted FIFO past `capacity`; in-flight entries
-//! are never evicted (they are bounded by the worker pool + queue).
+//! are never evicted (they are bounded by the admission gate's slots).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -127,7 +127,7 @@ impl DedupMap {
 
 /// Ownership of one in-flight key. Dropping the claim without
 /// [`Claim::complete`] **aborts**: the key is freed so a retry can
-/// re-execute — this is the panic-safety path (the worker's
+/// re-execute — this is the panic-safety path (the evaluation's
 /// `catch_unwind` unwinds through this drop).
 #[derive(Debug)]
 pub(crate) struct Claim<'a> {

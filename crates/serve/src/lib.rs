@@ -13,15 +13,16 @@
 //! * **Bit-identity** — a served result is byte-identical to the same
 //!   evaluation serialized in-process: both sides build the same payload
 //!   types and serialize through the same `serde_json`.
-//! * **Backpressure, not buffering** — jobs enter a *bounded* queue
-//!   ([`queue::BoundedQueue`]); when it is full the request is shed
-//!   immediately with a structured `queue_full` error, never blocked or
-//!   dropped silently.
+//! * **Backpressure, not buffering** — each connection evaluates its own
+//!   requests, behind one admission gate: at most `workers` evaluate at
+//!   once and at most `queue_capacity` more wait, admitted in arrival
+//!   order. Past that the request is shed immediately with a structured
+//!   `queue_full` error, never blocked or dropped silently.
 //! * **Deadlines** — each request may carry `deadline_ms`; expiry is
-//!   honoured in the queue *and* mid-sweep, via the cooperative
+//!   honoured at admission *and* mid-sweep, via the cooperative
 //!   cancellation hook on `SweepExecutor::map_cancellable`.
 //! * **Graceful shutdown** — a `shutdown` op (or [`ServerHandle::shutdown`])
-//!   stops the acceptor, drains every queued and in-flight job, answers
+//!   stops the acceptor, answers every running and waiting request and
 //!   the remaining clients, and joins all threads.
 //! * **Fault tolerance, proven by injection** — the server compiles in
 //!   inert fault hooks (armed via [`ServerConfig`] or the
@@ -51,7 +52,6 @@
 pub mod client;
 mod dedup;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod stats;
 mod worker;
@@ -66,7 +66,6 @@ pub use protocol::{
     decode_request_line, decode_response_line, ErrorCode, Op, Params, Payload, ProtocolError,
     Request, Response, ScenarioSpec, WireError, MAX_INGEST_POINTS, MAX_LINE_BYTES,
 };
-pub use queue::{BoundedQueue, PushError};
 pub use server::{ServerConfig, ServerHandle};
 pub use stats::{OpLatency, StatsSnapshot};
 pub use worker::evaluate;

@@ -28,7 +28,7 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Largest `ingest` batch a single request may carry. Together with the
 /// lockstep protocol (one outstanding request per connection) and the
-/// bounded job queue, this caps how much un-acked telemetry any one
+/// bounded admission gate, this caps how much un-acked telemetry any one
 /// connection can force the server to hold — the per-connection
 /// backpressure bound.
 pub const MAX_INGEST_POINTS: usize = 4096;
@@ -158,8 +158,8 @@ impl Op {
         Self::ALL.into_iter().find(|op| op.name() == name)
     }
 
-    /// Whether the operation is served inline by the connection handler
-    /// (control plane) instead of going through the bounded job queue.
+    /// Whether the operation is served at once by the connection handler
+    /// (control plane) instead of going through the admission gate.
     #[must_use]
     pub fn is_control(self) -> bool {
         matches!(
@@ -195,7 +195,8 @@ impl Deserialize for Op {
 /// Machine-readable error codes of the structured error responses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorCode {
-    /// The bounded job queue was full — load was shed, retry later.
+    /// Every evaluation slot was busy and the admission gate's waiting
+    /// room was full — load was shed, retry later.
     QueueFull,
     /// The request's deadline elapsed before evaluation finished.
     DeadlineExceeded,
@@ -205,7 +206,7 @@ pub enum ErrorCode {
     EvalFailed,
     /// The server is draining for shutdown and accepts no new work.
     ShuttingDown,
-    /// The server hit an internal failure (e.g. a worker panic) before
+    /// The server hit an internal failure (e.g. a panicking evaluation) before
     /// the job completed — nothing was committed, safe to retry.
     Internal,
 }
@@ -507,8 +508,8 @@ pub struct Request {
     #[serde(default)]
     pub id: Option<u64>,
     /// Per-request deadline in milliseconds, measured from the moment the
-    /// server parses the request. Jobs exceeding it — in the queue or
-    /// mid-sweep — get a `deadline_exceeded` error.
+    /// server parses the request. Jobs exceeding it — waiting for admission
+    /// or mid-sweep — get a `deadline_exceeded` error.
     #[serde(default)]
     pub deadline_ms: Option<u64>,
     /// Idempotency key. When present, the server deduplicates: the first

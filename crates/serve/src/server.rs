@@ -1,25 +1,27 @@
-//! The TCP server: acceptor, connection handlers, worker pool, shutdown.
+//! The TCP server: acceptor, connection handlers, admission, shutdown.
 //!
 //! Threading model (all `std::net` + `std::thread`, no async runtime):
 //!
-//! * one **acceptor** thread blocks on `accept` and spawns a handler per
-//!   connection;
+//! * one **acceptor** thread blocks on `accept`, spawns a handler per
+//!   connection, and reaps finished handlers on every accept;
 //! * each **connection handler** reads line-delimited requests in
-//!   lockstep (one outstanding job per connection), with a short read
-//!   timeout so it can poll the shutdown flag;
-//! * a fixed **worker pool** pops jobs from the bounded queue and
-//!   evaluates them on a shared `SweepExecutor`.
+//!   lockstep (one outstanding request per connection), with a short
+//!   read timeout so it can poll the shutdown flag, and evaluates each
+//!   request itself on the shared `SweepExecutor` once the admission
+//!   gate lets it in (at most `workers` at once, at most
+//!   `queue_capacity` more waiting, FIFO);
+//! * the optional **scrape** and **profiler** threads observe the rest.
 //!
 //! Shutdown (the `shutdown` op or [`ServerHandle::shutdown`]) flips one
-//! flag, closes the queue, and pokes the acceptor with a loopback
-//! connection so `accept` returns. Workers drain the queued backlog —
-//! every accepted job still gets its response — and every thread joins
-//! before [`ServerHandle::wait`] returns.
+//! flag, closes the gate, and pokes the acceptor with a loopback
+//! connection so `accept` returns. Requests already waiting at the gate
+//! are still admitted and answered, and every thread joins before
+//! [`ServerHandle::wait`] returns.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -27,10 +29,9 @@ use monityre_core::SweepExecutor;
 use monityre_faults::{FaultKind, FaultPlan};
 
 use crate::dedup::DedupMap;
-use crate::protocol::{ErrorCode, Op, Payload, Request, Response, MAX_LINE_BYTES};
-use crate::queue::{BoundedQueue, PushError};
+use crate::protocol::{ErrorCode, Op, Params, Payload, Request, Response, MAX_LINE_BYTES};
 use crate::stats::{Stats, StatsSnapshot};
-use crate::worker::{worker_loop, Engine, Job};
+use crate::worker::{Engine, Gate, Job, Refusal};
 
 /// How often blocked reads wake up to poll the shutdown flag.
 const POLL_PERIOD: Duration = Duration::from_millis(200);
@@ -40,12 +41,13 @@ const POLL_PERIOD: Duration = Duration::from_millis(200);
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub bind: String,
-    /// Worker-pool size (clamped to ≥ 1).
+    /// Concurrent evaluations (clamped to ≥ 1).
     pub workers: usize,
     /// Threads of the shared `SweepExecutor`; 0 means
     /// [`SweepExecutor::available`] (which honours `MONITYRE_THREADS`).
     pub threads: usize,
-    /// Bounded job-queue capacity; excess load is shed with `queue_full`.
+    /// Evaluation requests that may wait for a slot (clamped to ≥ 1);
+    /// excess load is shed with `queue_full`.
     pub queue_capacity: usize,
     /// Scenario LRU capacity (warm `EvalCache` entries).
     pub cache_capacity: usize,
@@ -149,8 +151,8 @@ fn default_objectives(fast_us: u64, slow_us: u64) -> Vec<monityre_obs::SloSpec> 
 }
 
 impl ServerConfig {
-    /// Binds, spawns the acceptor and the worker pool, and returns the
-    /// running server's handle.
+    /// Binds, spawns the acceptor and the observer threads, and returns
+    /// the running server's handle.
     ///
     /// # Errors
     ///
@@ -186,33 +188,26 @@ impl ServerConfig {
         let shared = Arc::new(Shared {
             addr,
             shutdown: AtomicBool::new(false),
-            queue: BoundedQueue::new(self.queue_capacity),
+            gate: Gate::new(self.workers, self.queue_capacity),
+            handlers: Mutex::new(Vec::new()),
             engine: Engine {
                 executor,
                 lru: crate::worker::ScenarioLru::new(self.cache_capacity),
                 stats: Arc::new(Stats::new()),
                 dedup: DedupMap::new(self.dedup_capacity),
-                sheet: std::sync::Mutex::new(crate::worker::reference_sheet()),
-                ingest: std::sync::Mutex::new(ingestor),
-                last_ledger: std::sync::Mutex::new(crate::worker::startup_ledger()),
+                sheet: Mutex::new(crate::worker::reference_sheet()),
+                ingest: Mutex::new(ingestor),
+                last_ledger: Mutex::new(crate::worker::startup_ledger()),
             },
             faults,
             series: monityre_obs::SeriesStore::new(&monityre_obs::DEFAULT_TIERS),
             profiler: monityre_obs::Profiler::new(),
-            slo: std::sync::Mutex::new(monityre_obs::SloEngine::new(specs)),
-            health: std::sync::Mutex::new(monityre_obs::HealthReport {
+            slo: Mutex::new(monityre_obs::SloEngine::new(specs)),
+            health: Mutex::new(monityre_obs::HealthReport {
                 status: "ok".to_owned(),
                 objectives: Vec::new(),
             }),
         });
-        let workers: Vec<JoinHandle<()>> = (0..self.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || {
-                    worker_loop(&shared.queue, &shared.engine, shared.faults.as_deref());
-                })
-            })
-            .collect();
         let mut observers: Vec<JoinHandle<()>> = Vec::new();
         if self.scrape_interval_us > 0 {
             let shared = Arc::clone(&shared);
@@ -231,7 +226,6 @@ impl ServerConfig {
         Ok(ServerHandle {
             shared,
             acceptor: Some(acceptor),
-            workers,
             observers,
             replay,
         })
@@ -272,7 +266,10 @@ fn sleep_polling(shutdown: &AtomicBool, total: Duration) {
 struct Shared {
     addr: SocketAddr,
     shutdown: AtomicBool,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
+    /// Connection-handler threads; the acceptor drops finished ones on
+    /// every accept and joins the rest at shutdown.
+    handlers: Mutex<Vec<JoinHandle<()>>>,
     engine: Engine,
     /// The installed fault plan; `None` keeps every hook inert.
     faults: Option<Arc<FaultPlan>>,
@@ -282,10 +279,10 @@ struct Shared {
     /// The wall-clock profiler's flame table, fed by the sampler thread.
     profiler: monityre_obs::Profiler,
     /// The SLO engine, advanced once per scrape tick.
-    slo: std::sync::Mutex<monityre_obs::SloEngine>,
+    slo: Mutex<monityre_obs::SloEngine>,
     /// The most recent health report — the readiness answer the `health`
     /// op serves without waiting on a scrape.
-    health: std::sync::Mutex<monityre_obs::HealthReport>,
+    health: Mutex<monityre_obs::HealthReport>,
 }
 
 impl Shared {
@@ -300,10 +297,13 @@ impl Shared {
         let clamp = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
         registry
             .gauge("serve.queue_depth")
-            .set(clamp(self.queue.len()));
+            .set(clamp(self.gate.waiting()));
         registry
             .gauge("serve.queue_capacity")
-            .set(clamp(self.queue.capacity()));
+            .set(clamp(self.gate.capacity()));
+        registry
+            .gauge("serve.connections")
+            .set(clamp(self.live_connections()));
         registry
             .gauge("serve.lru_entries")
             .set(clamp(self.engine.lru.len()));
@@ -363,28 +363,63 @@ impl Shared {
         let report = self
             .slo
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .evaluate(&self.series, &snapshot, now_us);
-        *self
-            .health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = report;
+        *self.health.lock().unwrap_or_else(PoisonError::into_inner) = report;
     }
 
     /// The cached readiness answer (the last scrape tick's report).
     fn health_report(&self) -> monityre_obs::HealthReport {
         self.health
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
-    /// Idempotent shutdown trigger: flag, queue close, acceptor poke.
+    /// The `series` op's answer: one metric's ring, or — for an unknown
+    /// metric, a caller mistake rather than an empty chart — an error
+    /// naming the nearest recorded series so a typo is a one-round-trip
+    /// fix.
+    fn series_response(&self, id: Option<u64>, params: &Params) -> Response {
+        let metric = params.metric.as_deref().unwrap_or_default();
+        let step_us = params
+            .resolution
+            .as_deref()
+            .and_then(monityre_obs::parse_duration_us);
+        let range_us = params.range_s.map(|s| s.saturating_mul(1_000_000));
+        let now_us = monityre_obs::now_us();
+        if let Some(slice) = self.series.query(metric, step_us, range_us, now_us) {
+            return Response::success(id, Payload::Series(slice));
+        }
+        let nearest = nearest_metrics(metric, &self.series.metric_names());
+        let hint = if nearest.is_empty() {
+            "no series recorded yet — is the scrape loop enabled?".to_owned()
+        } else {
+            format!("nearest recorded: {}", nearest.join(", "))
+        };
+        Response::failure(
+            id,
+            ErrorCode::EvalFailed,
+            format!("metric `{metric}` has no recorded series ({hint})"),
+        )
+    }
+
+    /// Connection handlers still running.
+    fn live_connections(&self) -> usize {
+        self.handlers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter(|handler| !handler.is_finished())
+            .count()
+    }
+
+    /// Idempotent shutdown trigger: flag, gate close, acceptor poke.
     fn trigger_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.queue.close();
+        self.gate.close();
         // Unblock `accept` so the acceptor observes the flag. The poke
         // connection is handled (and immediately dropped) like any other.
         let _ = TcpStream::connect(self.addr);
@@ -397,7 +432,6 @@ impl Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     observers: Vec<JoinHandle<()>>,
     replay: monityre_ingest::ReplayReport,
 }
@@ -461,8 +495,8 @@ impl ServerHandle {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Initiates graceful shutdown and blocks until every queued job is
-    /// answered and every thread has joined.
+    /// Initiates graceful shutdown and blocks until every admitted or
+    /// waiting request is answered and every thread has joined.
     pub fn shutdown(mut self) {
         self.shared.trigger_shutdown();
         self.join_all();
@@ -480,9 +514,6 @@ impl ServerHandle {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
         // The scrape and sampler threads poll the shutdown flag at least
         // every POLL_PERIOD, so this drain is bounded.
         for observer in self.observers.drain(..) {
@@ -499,7 +530,6 @@ impl Drop for ServerHandle {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -516,8 +546,16 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                         continue;
                     }
                 }
-                let shared = Arc::clone(shared);
-                handlers.push(thread::spawn(move || handle_connection(stream, &shared)));
+                let handler = {
+                    let shared = Arc::clone(shared);
+                    thread::spawn(move || handle_connection(stream, &shared))
+                };
+                let mut handlers = shared
+                    .handlers
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                handlers.retain(|handler| !handler.is_finished());
+                handlers.push(handler);
             }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -527,6 +565,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             }
         }
     }
+    let handlers = std::mem::take(
+        &mut *shared
+            .handlers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner),
+    );
     for handler in handlers {
         let _ = handler.join();
     }
@@ -546,39 +590,28 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // until the terminating newline arrives.
     let mut line: Vec<u8> = Vec::new();
     loop {
-        match read_more(&mut reader, &mut line) {
+        let outcome = read_more(&mut reader, &mut line);
+        if matches!(outcome, ReadOutcome::Line | ReadOutcome::WouldBlock)
+            && line.len() > MAX_LINE_BYTES
+        {
+            let response = Response::failure(
+                None,
+                ErrorCode::BadRequest,
+                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            );
+            shared.engine.stats.record_bad_request();
+            let _ = send_response(&mut writer, &response, shared.faults.as_deref());
+            return;
+        }
+        match outcome {
             ReadOutcome::Line => {
-                if line.len() > MAX_LINE_BYTES {
-                    let response = Response::failure(
-                        None,
-                        ErrorCode::BadRequest,
-                        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    );
-                    shared.engine.stats.record_bad_request();
-                    let _ = send_response(&mut writer, &response, shared.faults.as_deref());
-                    return;
-                }
                 let keep_going = serve_line(&line, &mut writer, shared);
                 line.clear();
                 if !keep_going {
                     return;
                 }
             }
-            ReadOutcome::WouldBlock => {
-                if line.len() > MAX_LINE_BYTES {
-                    let response = Response::failure(
-                        None,
-                        ErrorCode::BadRequest,
-                        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    );
-                    shared.engine.stats.record_bad_request();
-                    let _ = send_response(&mut writer, &response, shared.faults.as_deref());
-                    return;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
+            ReadOutcome::WouldBlock if !shared.shutdown.load(Ordering::SeqCst) => {}
             ReadOutcome::Eof => {
                 if !line.is_empty() {
                     // Final unterminated line: serve it, then hang up.
@@ -586,7 +619,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 }
                 return;
             }
-            ReadOutcome::Error => return,
+            ReadOutcome::WouldBlock | ReadOutcome::Error => return,
         }
     }
 }
@@ -670,142 +703,70 @@ fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool 
         let response = Response::failure(id, ErrorCode::BadRequest, message);
         return send_response(writer, &response, faults).is_ok();
     }
-    // Install the wire trace context for inline (control) handling; the
-    // worker re-installs it on its own thread for queued jobs.
+    // Install the wire trace context for the rest of the request: control
+    // ops and evaluation alike run on this thread.
     let _trace = request.trace.map(monityre_obs::install_context);
-    if request.op.is_control() {
-        return match request.op {
-            Op::Ping => {
-                send_response(writer, &Response::success(id, Payload::Pong), faults).is_ok()
-            }
-            Op::Stats => {
-                let snapshot = shared.engine.snapshot();
-                send_response(
-                    writer,
-                    &Response::success(id, Payload::Stats(snapshot)),
-                    faults,
-                )
-                .is_ok()
-            }
-            Op::Metrics => {
-                let text = shared.prometheus_text();
-                send_response(
-                    writer,
-                    &Response::success(id, Payload::Metrics(text)),
-                    faults,
-                )
-                .is_ok()
-            }
-            Op::Dump => {
-                monityre_obs::recorder::record_event("dump.requested");
-                let payload = match monityre_obs::recorder::dump("wire_request") {
-                    Some((path, records)) => Payload::Dumped {
-                        path: Some(path.display().to_string()),
-                        records,
-                    },
-                    // Unarmed (or the write failed): still acknowledge
-                    // with the record count so the caller learns the
-                    // recorder is alive but has nowhere to dump.
-                    None => Payload::Dumped {
-                        path: None,
-                        records: monityre_obs::recorder::snapshot().len(),
-                    },
+    let response = match request.op {
+        Op::Ping => Response::success(id, Payload::Pong),
+        Op::Stats => Response::success(id, Payload::Stats(shared.engine.snapshot())),
+        Op::Metrics => Response::success(id, Payload::Metrics(shared.prometheus_text())),
+        Op::Dump => {
+            monityre_obs::recorder::record_event("dump.requested");
+            let payload = match monityre_obs::recorder::dump("wire_request") {
+                Some((path, records)) => Payload::Dumped {
+                    path: Some(path.display().to_string()),
+                    records,
+                },
+                // Unarmed (or the write failed): still acknowledge with
+                // the record count so the caller learns the recorder is
+                // alive but has nowhere to dump.
+                None => Payload::Dumped {
+                    path: None,
+                    records: monityre_obs::recorder::snapshot().len(),
+                },
+            };
+            Response::success(id, payload)
+        }
+        Op::Series => shared.series_response(id, &request.params),
+        Op::Health => Response::success(id, Payload::Health(shared.health_report())),
+        Op::Profile => Response::success(id, Payload::Profile(shared.profiler.snapshot())),
+        Op::Shutdown => {
+            // Acknowledge first so the client sees the answer even though
+            // this connection closes right after. Never faulted: losing
+            // the ack would strand the drain.
+            let _ = write_response(writer, &Response::success(id, Payload::Draining));
+            shared.trigger_shutdown();
+            return false;
+        }
+        // Evaluation op: wait for a slot at the gate, then evaluate right
+        // here. The gate never blocks to refuse — excess load is shed at
+        // once with a structured error.
+        _ => match shared.gate.enter() {
+            Ok(_permit) => {
+                let job = Job {
+                    deadline: request
+                        .deadline_ms
+                        .map(|ms| received + Duration::from_millis(ms)),
+                    request,
+                    received,
                 };
-                send_response(writer, &Response::success(id, payload), faults).is_ok()
+                shared.engine.run(&job, faults)
             }
-            Op::Series => {
-                let params = &request.params;
-                let metric = params.metric.as_deref().unwrap_or_default();
-                let step_us = params
-                    .resolution
-                    .as_deref()
-                    .and_then(monityre_obs::parse_duration_us);
-                let range_us = params.range_s.map(|s| s.saturating_mul(1_000_000));
-                let response =
-                    match shared
-                        .series
-                        .query(metric, step_us, range_us, monityre_obs::now_us())
-                    {
-                        Some(slice) => Response::success(id, Payload::Series(slice)),
-                        None => {
-                            // An unknown metric is a caller mistake, not an
-                            // empty chart: name the nearest recorded series
-                            // so a typo is a one-round-trip fix.
-                            let nearest = nearest_metrics(metric, &shared.series.metric_names());
-                            let hint = if nearest.is_empty() {
-                                "no series recorded yet — is the scrape loop enabled?".to_owned()
-                            } else {
-                                format!("nearest recorded: {}", nearest.join(", "))
-                            };
-                            Response::failure(
-                                id,
-                                ErrorCode::EvalFailed,
-                                format!("metric `{metric}` has no recorded series ({hint})"),
-                            )
-                        }
-                    };
-                send_response(writer, &response, faults).is_ok()
-            }
-            Op::Health => {
-                let report = shared.health_report();
-                send_response(
-                    writer,
-                    &Response::success(id, Payload::Health(report)),
-                    faults,
+            Err(Refusal::Full) => {
+                stats.record_rejected();
+                Response::failure(
+                    id,
+                    ErrorCode::QueueFull,
+                    format!(
+                        "job queue is at capacity ({}); retry later",
+                        shared.gate.capacity()
+                    ),
                 )
-                .is_ok()
             }
-            Op::Profile => {
-                let table = shared.profiler.snapshot();
-                send_response(
-                    writer,
-                    &Response::success(id, Payload::Profile(table)),
-                    faults,
-                )
-                .is_ok()
+            Err(Refusal::Closed) => {
+                Response::failure(id, ErrorCode::ShuttingDown, "server is draining")
             }
-            _ => {
-                // Acknowledge first so the client sees the answer even
-                // though this connection closes right after. Never
-                // faulted: losing the ack would strand the drain.
-                let _ = write_response(writer, &Response::success(id, Payload::Draining));
-                shared.trigger_shutdown();
-                false
-            }
-        };
-    }
-    // Evaluation op: enqueue and wait in lockstep for this connection's
-    // reply. The bounded queue never blocks the push — excess load is
-    // shed right here with a structured error.
-    let deadline = request
-        .deadline_ms
-        .map(|ms| received + Duration::from_millis(ms));
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        request,
-        deadline,
-        received,
-        reply: reply_tx,
-    };
-    let response = match shared.queue.try_push(job) {
-        Ok(()) => match reply_rx.recv() {
-            Ok(response) => response,
-            Err(_) => Response::failure(id, ErrorCode::EvalFailed, "worker disappeared"),
         },
-        Err((PushError::Full, _)) => {
-            stats.record_rejected();
-            Response::failure(
-                id,
-                ErrorCode::QueueFull,
-                format!(
-                    "job queue is at capacity ({}); retry later",
-                    shared.queue.capacity()
-                ),
-            )
-        }
-        Err((PushError::Closed, _)) => {
-            Response::failure(id, ErrorCode::ShuttingDown, "server is draining")
-        }
     };
     send_response(writer, &response, faults).is_ok()
 }
@@ -931,4 +892,57 @@ pub fn resolve_addr(spec: &str) -> io::Result<SocketAddr> {
             format!("`{spec}` resolves to no address"),
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// The `serve.connections` gauge as the `metrics` op exports it.
+    fn connections_gauge(handle: &ServerHandle) -> i64 {
+        handle
+            .prometheus_text()
+            .lines()
+            .find_map(|line| line.strip_prefix("monityre_serve_connections "))
+            .and_then(|value| value.trim().parse().ok())
+            .expect("the serve.connections gauge is exported")
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_reaped() {
+        let handle = ServerConfig {
+            scrape_interval_us: 0,
+            profile_interval_us: 0,
+            ..ServerConfig::default()
+        }
+        .start()
+        .expect("bind loopback");
+        let mut retained_peak = 0;
+        for id in 0..300 {
+            let mut client = Client::connect(handle.addr()).expect("connect");
+            let response = client
+                .request(&Request::new(Op::Ping).with_id(id))
+                .expect("ping");
+            assert_eq!(response.ok, Some(Payload::Pong));
+            drop(client);
+            let retained = handle.shared.handlers.lock().expect("handlers").len();
+            retained_peak = retained_peak.max(retained);
+        }
+        assert!(
+            retained_peak <= 32,
+            "the acceptor retained {retained_peak} handles over 300 short connections"
+        );
+        // Every closed connection's handler sees EOF and exits.
+        let start = Instant::now();
+        while connections_gauge(&handle) != 0 {
+            assert!(
+                start.elapsed() < 5 * POLL_PERIOD,
+                "{} handlers still live after the clients left",
+                connections_gauge(&handle)
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
+        handle.shutdown();
+    }
 }

@@ -84,8 +84,8 @@ impl Stats {
             .record_traced(elapsed, current_trace_id());
     }
 
-    /// How long a job sat in the bounded queue before a worker picked it
-    /// up. Stamps the current trace id (if a request context is
+    /// How long a job waited between parse and admission at the gate.
+    /// Stamps the current trace id (if a request context is
     /// installed) as the bucket's exemplar, so a tail `queue_wait` bucket
     /// in the Prometheus exposition names an offending trace.
     pub(crate) fn record_queue_wait(&self, elapsed: Duration) {

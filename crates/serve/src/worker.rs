@@ -1,16 +1,16 @@
-//! Job evaluation: the worker loop, the scenario LRU, and the shared
+//! Job evaluation: the admission gate, the scenario LRU, and the shared
 //! op dispatcher.
 //!
-//! The same [`run_op`] body serves two callers: the server's worker pool
-//! (warm [`EvalCache`] from the LRU, deadline-driven cancellation) and the
-//! public [`evaluate`] helper (fresh cache, never cancelled). Both build
-//! the same [`Payload`] values and serialize through the same
-//! `serde_json`, which is what makes a served response byte-identical to
-//! a direct in-process evaluation — the loopback tests pin that down.
+//! The same [`run_op`] body serves two callers: the server's connection
+//! handlers, once [`Gate`] admits them (warm [`EvalCache`] from the LRU,
+//! deadline-driven cancellation), and the public [`evaluate`] helper
+//! (fresh cache, never cancelled). Both build the same [`Payload`] values
+//! and serialize through the same `serde_json`, which is what makes a
+//! served response byte-identical to a direct in-process evaluation —
+//! the loopback tests pin that down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use monityre_core::EmulatorConfig;
@@ -121,7 +121,7 @@ impl ScenarioLru {
         let built = Arc::new(CachedScenario::build(spec)?);
         let mut entries = self.entries.lock().expect("lru lock");
         if let Some(pos) = entries.iter().position(|(k, _)| *k == key) {
-            // Another worker raced us to the same spec; adopt its entry.
+            // Another request raced us to the same spec; adopt its entry.
             let entry = entries.remove(pos);
             let cached = Arc::clone(&entry.1);
             entries.push(entry);
@@ -135,18 +135,134 @@ impl ScenarioLru {
     }
 }
 
-/// One queued evaluation: the parsed request plus reply plumbing.
+/// Why [`Gate::enter`] refused a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// `capacity` requests were already waiting — shed the load.
+    Full,
+    /// The gate was closed — the server is shutting down.
+    Closed,
+}
+
+#[derive(Default)]
+struct GateState {
+    /// Requests holding a [`Permit`] right now.
+    running: usize,
+    /// The ticket the next waiter draws.
+    next_ticket: u64,
+    /// The ticket admitted next; `next_ticket - serving` requests wait.
+    serving: u64,
+    closed: bool,
+}
+
+/// The admission gate in front of evaluation: backpressure instead of
+/// unbounded buffering. At most `slots` requests evaluate at once (each
+/// on its own connection thread), at most `capacity` more wait, and
+/// waiters are admitted in arrival order by ticket. [`Self::enter`] never
+/// blocks to refuse, and closing the gate still admits every request
+/// already waiting — the graceful-drain semantics the server needs.
+pub(crate) struct Gate {
+    slots: usize,
+    capacity: usize,
+    state: Mutex<GateState>,
+    turn: Condvar,
+}
+
+impl Gate {
+    /// A gate with `slots` concurrent evaluations and room for
+    /// `capacity` waiters (both clamped to ≥ 1).
+    pub(crate) fn new(slots: usize, capacity: usize) -> Self {
+        Self {
+            slots: slots.max(1),
+            capacity: capacity.max(1),
+            state: Mutex::default(),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// How many requests may wait.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// How many requests are waiting for a slot right now.
+    pub(crate) fn waiting(&self) -> usize {
+        let state = self.lock();
+        usize::try_from(state.next_ticket - state.serving).unwrap_or(usize::MAX)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admits the caller, waiting its turn while every slot is taken.
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal::Full`] at once when `capacity` requests already wait,
+    /// [`Refusal::Closed`] after [`Self::close`].
+    pub(crate) fn enter(&self) -> Result<Permit<'_>, Refusal> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(Refusal::Closed);
+        }
+        let ticket = state.next_ticket;
+        let free = ticket == state.serving && state.running < self.slots;
+        if !free && ticket - state.serving >= self.capacity as u64 {
+            return Err(Refusal::Full);
+        }
+        state.next_ticket += 1;
+        while ticket != state.serving || state.running >= self.slots {
+            state = self
+                .turn
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.serving += 1;
+        state.running += 1;
+        // The next ticket may fit a slot that is still free.
+        let next_fits = state.next_ticket != state.serving && state.running < self.slots;
+        drop(state);
+        if next_fits {
+            self.turn.notify_all();
+        }
+        Ok(Permit { gate: self })
+    }
+
+    /// Refuses every later [`Self::enter`]; requests already waiting are
+    /// still admitted.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+    }
+}
+
+/// One evaluation slot; dropping it (also on unwind) frees the slot.
+pub(crate) struct Permit<'a> {
+    gate: &'a Gate,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.gate.lock();
+        state.running -= 1;
+        let waiters = state.next_ticket != state.serving;
+        drop(state);
+        if waiters {
+            self.gate.turn.notify_all();
+        }
+    }
+}
+
+/// One evaluation request: the parsed request plus its timing.
 pub(crate) struct Job {
     pub(crate) request: Request,
     /// Absolute expiry derived from `deadline_ms` at parse time.
     pub(crate) deadline: Option<Instant>,
     /// When the server parsed the request (service-time origin).
     pub(crate) received: Instant,
-    /// Where the connection handler waits for the answer.
-    pub(crate) reply: mpsc::Sender<Response>,
 }
 
-/// What the worker pool shares.
+/// What the connection handlers share for evaluation.
 pub(crate) struct Engine {
     pub(crate) executor: SweepExecutor,
     pub(crate) lru: ScenarioLru,
@@ -206,21 +322,42 @@ impl Engine {
         snapshot
     }
 
+    /// Runs one admitted job: the `queue_stall` fault decision, then
+    /// [`Self::process`] under `catch_unwind`. Every job is answered even
+    /// if evaluation panics (injected or real): the dedup claim's drop
+    /// guard has already freed the idempotency key, and the client sees a
+    /// retryable `internal` error instead of a dead connection. The
+    /// caller holds the gate permit and has installed the request's trace
+    /// context, so the panic event links into the request's trace tree.
+    pub(crate) fn run(&self, job: &Job, faults: Option<&FaultPlan>) -> Response {
+        if let Some(plan) = faults {
+            if plan.decide(FaultKind::QueueStall) {
+                std::thread::sleep(plan.pause());
+            }
+        }
+        catch_unwind(AssertUnwindSafe(|| self.process(job, faults))).unwrap_or_else(|_| {
+            // The rings still hold the spans truncated mid-panic.
+            monityre_obs::recorder::record_event("worker.panic");
+            monityre_obs::recorder::dump("worker_panic");
+            Response::failure(
+                job.request.id,
+                ErrorCode::Internal,
+                "worker panicked mid-job; nothing was committed, safe to retry",
+            )
+        })
+    }
+
     /// Evaluates one job end to end, producing the response to send.
     ///
     /// Idempotency: when the request carries an `idem` key, the dedup
-    /// map decides whether this worker executes (first claimer) or
+    /// map decides whether this request executes (first claimer) or
     /// replays the remembered response; only *successful* responses are
     /// remembered, so a failed or panicked attempt frees the key for
     /// re-execution. The injected [`FaultKind::WorkerPanic`] fires after
     /// the claim, exercising exactly the unwind path the claim guard
     /// protects.
-    pub(crate) fn process(&self, job: &Job, faults: Option<&FaultPlan>) -> Response {
+    fn process(&self, job: &Job, faults: Option<&FaultPlan>) -> Response {
         let id = job.request.id;
-        // Install the request's wire-propagated trace context for the
-        // whole job: every span and stats record below links under the
-        // client's attempt span (and stamps histogram exemplars).
-        let _trace = job.request.trace.map(monityre_obs::install_context);
         // Everything before this call was queue wait.
         let wait = job.received.elapsed();
         self.stats.record_queue_wait(wait);
@@ -389,47 +526,8 @@ impl Engine {
     }
 }
 
-/// The worker-pool loop: drain the queue until it is closed *and* empty,
-/// answering every job — including the backlog left at shutdown.
-///
-/// Every job is answered even if evaluation panics (injected or real):
-/// the unwind is caught, the dedup claim's drop guard has already freed
-/// the idempotency key, and the client sees a retryable `internal`
-/// error instead of a dead connection.
-pub(crate) fn worker_loop(
-    queue: &crate::queue::BoundedQueue<Job>,
-    engine: &Engine,
-    faults: Option<&FaultPlan>,
-) {
-    while let Some(job) = queue.pop() {
-        if let Some(plan) = faults {
-            if plan.decide(FaultKind::QueueStall) {
-                std::thread::sleep(plan.pause());
-            }
-        }
-        let id = job.request.id;
-        let response = catch_unwind(AssertUnwindSafe(|| engine.process(&job, faults)))
-            .unwrap_or_else(|_| {
-                // The guard that installed the request context unwound
-                // with the panic; re-install it so the panic event (and
-                // the dump trigger) link into the request's trace tree.
-                // The rings still hold the spans truncated mid-panic.
-                let _trace = job.request.trace.map(monityre_obs::install_context);
-                monityre_obs::recorder::record_event("worker.panic");
-                monityre_obs::recorder::dump("worker_panic");
-                Response::failure(
-                    id,
-                    ErrorCode::Internal,
-                    "worker panicked mid-job; nothing was committed, safe to retry",
-                )
-            });
-        // A vanished client (dropped receiver) is not a server error.
-        let _ = job.reply.send(response);
-    }
-}
-
 /// Runs a `sheet_edit` / `sheet_eval` against a workbook. Shared by the
-/// worker pool (the server's long-lived sheet, under its mutex) and the
+/// server (its long-lived sheet, under its mutex) and the
 /// in-process [`evaluate`] helper (a fresh reference workbook), so both
 /// produce identical payloads for identical workbook states.
 ///
@@ -484,7 +582,7 @@ pub(crate) fn run_sheet_op(
 }
 
 /// Runs an `ingest` / `ingest_state` against a telemetry pipeline.
-/// Shared by the worker pool (the server's durable [`Ingestor`], under
+/// Shared by the server (its durable [`Ingestor`], under
 /// its mutex) and the in-process [`evaluate`] helper (a fresh in-memory
 /// pipeline), so both produce identical payloads for identical point
 /// sequences.
@@ -742,7 +840,7 @@ fn run_op<C: Fn() -> bool + Sync>(
     }
 }
 
-/// Evaluates `request` directly in-process, exactly as a server worker
+/// Evaluates `request` directly in-process, exactly as the server
 /// would (fresh cache, no deadline). The returned [`Payload`] serializes
 /// byte-identically to the `ok` field a server sends for the same
 /// request — the property the loopback tests and `monityre request
@@ -914,6 +1012,160 @@ mod tests {
         assert!(vehicles.is_empty(), "unknown vehicle filters to empty");
         let err = run_ingest_op(&Request::new(Op::Ping), &mut ingest, None).unwrap_err();
         assert_eq!(err.0, ErrorCode::BadRequest);
+    }
+
+    /// Polls until `gate` has `n` waiters (each test thread has drawn its
+    /// ticket), so arrival order is deterministic.
+    fn await_waiting(gate: &Gate, n: usize) {
+        let start = Instant::now();
+        while gate.waiting() != n {
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(10),
+                "waiters never reached {n} (at {})",
+                gate.waiting()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn gate_admits_waiters_in_arrival_order() {
+        let gate = Arc::new(Gate::new(1, 8));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let held = gate.enter().unwrap();
+        let waiters: Vec<_> = (0..6)
+            .map(|i| {
+                let handle = {
+                    let (gate, order) = (Arc::clone(&gate), Arc::clone(&order));
+                    std::thread::spawn(move || {
+                        let _permit = gate.enter().unwrap();
+                        order.lock().unwrap().push(i);
+                    })
+                };
+                await_waiting(&gate, i + 1);
+                handle
+            })
+            .collect();
+        // The releasing thread enters again at once, while the waiters are
+        // still waking: it must queue behind them, not barge in.
+        drop(held);
+        drop(gate.enter().unwrap());
+        order.lock().unwrap().push(6);
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(gate.waiting(), 0);
+    }
+
+    #[test]
+    fn gate_capacity_and_slots_are_clamped_to_one() {
+        let gate = Arc::new(Gate::new(0, 0));
+        assert_eq!(gate.capacity(), 1);
+        let held = gate.enter().unwrap();
+        let waiter = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || gate.enter().map(drop))
+        };
+        await_waiting(&gate, 1);
+        assert_eq!(gate.enter().err(), Some(Refusal::Full));
+        drop(held);
+        assert_eq!(waiter.join().unwrap(), Ok(()));
+    }
+
+    #[test]
+    fn full_gate_sheds_without_blocking() {
+        let gate = Arc::new(Gate::new(1, 2));
+        let held = gate.enter().unwrap();
+        let waiters: Vec<_> = (0..2)
+            .map(|i| {
+                let handle = {
+                    let gate = Arc::clone(&gate);
+                    std::thread::spawn(move || gate.enter().map(drop))
+                };
+                await_waiting(&gate, i + 1);
+                handle
+            })
+            .collect();
+        // Every slot stays held, so only a refusal that never waits can
+        // return here.
+        assert_eq!(gate.enter().err(), Some(Refusal::Full));
+        // Shedding must not have disturbed the waiters.
+        drop(held);
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Ok(()));
+        }
+        assert!(gate.enter().is_ok(), "the drained gate admits again");
+    }
+
+    #[test]
+    fn closed_gate_refuses_new_but_admits_waiting() {
+        let gate = Arc::new(Gate::new(1, 4));
+        let held = gate.enter().unwrap();
+        let waiter = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || gate.enter().map(drop))
+        };
+        await_waiting(&gate, 1);
+        gate.close();
+        assert_eq!(gate.enter().err(), Some(Refusal::Closed));
+        drop(held);
+        assert_eq!(waiter.join().unwrap(), Ok(()), "waiting request drained");
+        assert_eq!(gate.enter().err(), Some(Refusal::Closed));
+    }
+
+    #[test]
+    fn contended_gate_caps_running_and_answers_everyone() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let gate = Arc::new(Gate::new(2, 3));
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let entrants: Vec<_> = (0..8)
+            .map(|_| {
+                let (gate, running, peak) =
+                    (Arc::clone(&gate), Arc::clone(&running), Arc::clone(&peak));
+                std::thread::spawn(move || {
+                    let (mut admitted, mut shed) = (0u32, 0u32);
+                    while admitted < 50 {
+                        match gate.enter() {
+                            Ok(_permit) => {
+                                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                                peak.fetch_max(now, Ordering::SeqCst);
+                                std::thread::yield_now();
+                                running.fetch_sub(1, Ordering::SeqCst);
+                                admitted += 1;
+                            }
+                            Err(Refusal::Full) => {
+                                shed += 1;
+                                std::thread::yield_now();
+                            }
+                            Err(Refusal::Closed) => unreachable!(),
+                        }
+                    }
+                    (admitted, shed)
+                })
+            })
+            .collect();
+        let admitted: u32 = entrants.into_iter().map(|e| e.join().unwrap().0).sum();
+        assert_eq!(admitted, 400);
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&peak), "running peaked at {peak}");
+        assert_eq!(gate.waiting(), 0);
+    }
+
+    #[test]
+    fn panicking_holder_frees_its_slot() {
+        let gate = Arc::new(Gate::new(1, 1));
+        let holder = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                let _permit = gate.enter().unwrap();
+                panic!("evaluation panics while holding the slot");
+            })
+        };
+        assert!(holder.join().is_err());
+        assert_eq!(gate.lock().running, 0, "the unwound permit freed its slot");
+        assert!(gate.enter().is_ok());
     }
 
     #[test]
