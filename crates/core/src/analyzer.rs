@@ -6,12 +6,110 @@
 //! analyzer integrates each block's power over its duty-cycle schedule
 //! within a wheel round, and adds the workload-proportional event energy.
 
-use monityre_node::Architecture;
-use monityre_power::{EnergyBreakdown, WorkingConditions};
+use std::borrow::Cow;
+
+use monityre_node::{Architecture, RoundSchedule};
+use monityre_power::{EnergyBreakdown, PowerBreakdown, WorkingConditions};
 use monityre_profile::Wheel;
 use monityre_units::{Duration, DutyCycle, Energy, Power, Speed};
 
 use crate::CoreError;
+
+/// Rejects standstill, reversing and non-finite speeds, at which a wheel
+/// round is undefined — the guard every evaluator shares.
+pub(crate) fn ensure_rolling(speed: Speed) -> Result<(), CoreError> {
+    if speed.mps() <= 0.0 || !speed.is_finite() {
+        return Err(CoreError::round_undefined(speed.kmh()));
+    }
+    Ok(())
+}
+
+/// One block's speed-independent figures under fixed conditions, and
+/// [`Self::energy`], the one place a block's per-round energy is computed.
+/// The analyzer borrows the block's name and schedule for one evaluation;
+/// [`crate::EvalCache`] keeps an owned copy ([`Self::into_owned`]).
+#[derive(Debug, Clone)]
+pub(crate) struct BlockFigures<'a> {
+    name: Cow<'a, str>,
+    schedule: Cow<'a, RoundSchedule>,
+    rest_power: PowerBreakdown,
+    /// Power in each scheduled phase's mode, aligned with
+    /// `schedule.phases()` (and therefore with `schedule.resolve(..)`).
+    phase_powers: Vec<PowerBreakdown>,
+    /// Pre-multiplied `per_event × count` workload contributions, in
+    /// workload iteration order.
+    event_contributions: Vec<Energy>,
+}
+
+impl<'a> BlockFigures<'a> {
+    /// Looks up `name`'s plan and power model in `architecture` and
+    /// evaluates every speed-independent figure under `conditions`.
+    pub(crate) fn new(
+        architecture: &'a Architecture,
+        name: &'a str,
+        conditions: &WorkingConditions,
+    ) -> Result<Self, CoreError> {
+        let plan = architecture.plan(name)?;
+        let model = architecture.database().block(name)?;
+        let schedule = plan.schedule();
+        let rest_power = model.power(schedule.rest_mode(), conditions);
+        let phase_powers = schedule
+            .phases()
+            .iter()
+            .map(|phase| model.power(phase.mode, conditions))
+            .collect();
+        let event_contributions = plan
+            .workload()
+            .iter()
+            .filter_map(|(kind, count)| Some(model.event_energy(kind, conditions)? * count))
+            .collect();
+        Ok(Self {
+            name: Cow::Borrowed(name),
+            schedule: Cow::Borrowed(schedule),
+            rest_power,
+            phase_powers,
+            event_contributions,
+        })
+    }
+
+    /// Detaches the figures from the architecture they were read from.
+    pub(crate) fn into_owned(self) -> BlockFigures<'static> {
+        BlockFigures {
+            name: Cow::Owned(self.name.into_owned()),
+            schedule: Cow::Owned(self.schedule.into_owned()),
+            rest_power: self.rest_power,
+            phase_powers: self.phase_powers,
+            event_contributions: self.event_contributions,
+        }
+    }
+
+    /// The block's energy over one round of `period`.
+    ///
+    /// The average over the phase recurrence periods is taken: a phase
+    /// running every N rounds contributes `1/N` of its energy to each
+    /// round, with the rest mode covering that span in the other rounds.
+    pub(crate) fn energy(&self, period: Duration) -> BlockEnergy {
+        // Baseline: the whole round in the rest mode…
+        let mut energy = self.rest_power.over(period);
+        // …corrected by each phase's amortized delta over the rest mode.
+        for (phase, phase_power) in self.schedule.resolve(period).iter().zip(&self.phase_powers) {
+            let delta_dyn = phase_power.dynamic - self.rest_power.dynamic;
+            let delta_leak = phase_power.leakage - self.rest_power.leakage;
+            let share = phase.amortized_duration();
+            energy.dynamic += delta_dyn * share;
+            energy.leakage += delta_leak * share;
+        }
+        // Event energy is workload-proportional switching energy.
+        for contribution in &self.event_contributions {
+            energy.dynamic += *contribution;
+        }
+        BlockEnergy {
+            name: self.name.as_ref().to_owned(),
+            energy,
+            duty_cycle: self.schedule.duty_cycle(period),
+        }
+    }
+}
 
 /// One block's per-round energy, with the inputs the advisor needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,17 +225,12 @@ impl<'a> EnergyAnalyzer<'a> {
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill or below.
     pub fn round_period(&self, speed: Speed) -> Result<Duration, CoreError> {
-        if speed.mps() <= 0.0 || !speed.is_finite() {
-            return Err(CoreError::round_undefined(speed.kmh()));
-        }
+        ensure_rolling(speed)?;
         Ok(self.wheel.round_period(speed))
     }
 
-    /// One block's energy per wheel round at `speed`.
-    ///
-    /// The average over the phase recurrence periods is taken: a phase
-    /// running every N rounds contributes `1/N` of its energy to each
-    /// round, with the rest mode covering that span in the other rounds.
+    /// One block's energy per wheel round at `speed` (see
+    /// [`Self::node_energy`] for the whole node).
     ///
     /// # Errors
     ///
@@ -145,35 +238,7 @@ impl<'a> EnergyAnalyzer<'a> {
     /// error for unknown blocks.
     pub fn block_energy(&self, name: &str, speed: Speed) -> Result<BlockEnergy, CoreError> {
         let period = self.round_period(speed)?;
-        let plan = self.architecture.plan(name)?;
-        let model = self.architecture.database().block(name)?;
-
-        let rest_power = model.power(plan.schedule().rest_mode(), &self.conditions);
-
-        // Baseline: the whole round in the rest mode…
-        let mut energy = rest_power.over(period);
-        // …corrected by each phase's amortized delta over the rest mode.
-        for phase in plan.schedule().resolve(period) {
-            let phase_power = model.power(phase.mode, &self.conditions);
-            let delta_dyn = phase_power.dynamic - rest_power.dynamic;
-            let delta_leak = phase_power.leakage - rest_power.leakage;
-            let share = phase.amortized_duration();
-            energy.dynamic += delta_dyn * share;
-            energy.leakage += delta_leak * share;
-        }
-
-        // Event energy is workload-proportional switching energy.
-        for (kind, count) in plan.workload().iter() {
-            if let Some(per_event) = model.event_energy(kind, &self.conditions) {
-                energy.dynamic += per_event * count;
-            }
-        }
-
-        Ok(BlockEnergy {
-            name: name.to_owned(),
-            energy,
-            duty_cycle: plan.schedule().duty_cycle(period),
-        })
+        Ok(BlockFigures::new(self.architecture, name, &self.conditions)?.energy(period))
     }
 
     /// The whole node's energy per wheel round at `speed`.
@@ -183,10 +248,11 @@ impl<'a> EnergyAnalyzer<'a> {
     /// Returns [`CoreError::RoundUndefined`] at standstill.
     pub fn node_energy(&self, speed: Speed) -> Result<NodeEnergy, CoreError> {
         let round_period = self.round_period(speed)?;
-        let mut blocks = Vec::with_capacity(self.architecture.len());
-        for name in self.architecture.block_names() {
-            blocks.push(self.block_energy(name, speed)?);
-        }
+        let blocks = self
+            .architecture
+            .block_names()
+            .map(|name| self.block_energy(name, speed))
+            .collect::<Result<_, _>>()?;
         Ok(NodeEnergy {
             speed,
             round_period,

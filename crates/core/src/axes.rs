@@ -287,8 +287,29 @@ impl ScenarioExtras {
         self.radio.is_none() && self.ageing.is_none()
     }
 
+    /// The radio retransmission and ageing leakage surcharges per wheel
+    /// round at this operating point, in that order. An absent axis
+    /// contributes [`Energy::ZERO`]; both are always ≥ 0.
+    #[must_use]
+    pub fn surcharges(
+        &self,
+        temperature: Temperature,
+        wheel: &Wheel,
+        speed: Speed,
+    ) -> (Energy, Energy) {
+        (
+            self.radio
+                .as_ref()
+                .map_or(Energy::ZERO, RadioLink::retransmission_energy_per_round),
+            self.ageing.as_ref().map_or(Energy::ZERO, |ageing| {
+                ageing.extra_leakage_per_round(temperature, wheel, speed)
+            }),
+        )
+    }
+
     /// The summed extra required energy per wheel round both axes
-    /// contribute at this operating point. Always ≥ 0.
+    /// contribute at this operating point: the fold `0 + radio + ageing`
+    /// of [`Self::surcharges`]. Always ≥ 0.
     #[must_use]
     pub fn extra_required_per_round(
         &self,
@@ -296,14 +317,8 @@ impl ScenarioExtras {
         wheel: &Wheel,
         speed: Speed,
     ) -> Energy {
-        let mut extra = Energy::ZERO;
-        if let Some(radio) = &self.radio {
-            extra += radio.retransmission_energy_per_round();
-        }
-        if let Some(ageing) = &self.ageing {
-            extra += ageing.extra_leakage_per_round(temperature, wheel, speed);
-        }
-        extra
+        let (radio, ageing) = self.surcharges(temperature, wheel, speed);
+        Energy::ZERO + radio + ageing
     }
 }
 

@@ -8,8 +8,7 @@
 use monityre_units::{Energy, Speed};
 use serde::{Deserialize, Serialize};
 
-use crate::ledger::quantize_nj;
-use crate::{CoreError, EnergyLedger, EvalCache, LedgerEntry, Scenario, SweepExecutor};
+use crate::{CoreError, EnergyLedger, EvalCache, Scenario, SweepExecutor};
 
 /// One operating point of the balance: both curves at one speed.
 ///
@@ -178,7 +177,9 @@ impl EnergyBalance {
         &self.scenario
     }
 
-    /// Evaluates both curves at one speed.
+    /// Evaluates both curves at one speed. The required curve is the
+    /// total of the per-block walk [`Self::explain`] attributes, plus the
+    /// fold of the same surcharge pair.
     ///
     /// Extended physics axes (radio retransmission, storage ageing) are
     /// added to the required curve *here*, outside the per-speed memo:
@@ -208,68 +209,25 @@ impl EnergyBalance {
 
     /// Evaluates one speed into a fully attributed [`EnergyLedger`]:
     /// per-block dynamic/static nanojoules, the extended axes'
-    /// surcharges, harvested energy and regulator loss, with the
-    /// conservation invariant checked against the exact aggregate
-    /// [`Self::point`] reports (see [`EnergyLedger`] for the two
-    /// layers). Costs one per-block walk — the same work as a memo-miss
-    /// `point()` — and leaves a warm memo in the identical state.
+    /// surcharges, harvested energy and regulator loss. The ledger is
+    /// built from the per-block walk and the surcharge pair that
+    /// [`Self::point`] folds, so its float figures conserve by
+    /// construction. Costs one per-block walk and leaves the per-speed
+    /// memo untouched.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill.
     pub fn explain(&self, speed: Speed) -> Result<EnergyLedger, CoreError> {
-        let (node, replayed_base, aggregate_base) = self.cache.explain_figures(speed)?;
+        let node = self.cache.node_energy(speed)?;
         let temperature = self.scenario.conditions().temperature();
-        let wheel = self.scenario.wheel();
-        // The axes' individual contributions, computed by the exact
-        // methods `ScenarioExtras::extra_required_per_round` folds.
-        let (radio_extra, ageing_extra) = match self.scenario.extras() {
-            Some(extras) => (
-                extras.radio().map_or(
-                    Energy::ZERO,
-                    crate::RadioLink::retransmission_energy_per_round,
-                ),
-                extras.ageing().map_or(Energy::ZERO, |ageing| {
-                    ageing.extra_leakage_per_round(temperature, wheel, speed)
-                }),
-            ),
-            None => (Energy::ZERO, Energy::ZERO),
-        };
-        // The aggregate exactly as `point()` computes it…
-        let mut aggregate_required = aggregate_base;
-        if let Some(extras) = self.scenario.extras() {
-            aggregate_required += extras.extra_required_per_round(temperature, wheel, speed);
-        }
-        // …and the same figure replayed from the attributed components,
-        // in the same fold order.
-        let mut replayed_required = replayed_base;
-        if let Some(extras) = self.scenario.extras() {
-            let mut extra = Energy::ZERO;
-            if extras.radio().is_some() {
-                extra += radio_extra;
-            }
-            if extras.ageing().is_some() {
-                extra += ageing_extra;
-            }
-            replayed_required += extra;
-        }
-        let blocks = node
-            .blocks
-            .iter()
-            .map(|block| LedgerEntry {
-                block: block.name.clone(),
-                dynamic_nj: quantize_nj(block.energy.dynamic),
-                static_nj: quantize_nj(block.energy.leakage),
-                duty: block.duty_cycle.active_fraction(),
-            })
-            .collect();
+        let (radio, ageing) = self.scenario.extras().map_or(Default::default(), |extras| {
+            extras.surcharges(temperature, self.scenario.wheel(), speed)
+        });
         Ok(EnergyLedger::build(
-            speed,
-            blocks,
-            radio_extra,
-            ageing_extra,
-            aggregate_required,
-            replayed_required,
+            &node,
+            radio,
+            ageing,
             self.scenario.chain().delivered_per_round(speed),
             self.scenario.chain().raw_per_round(speed),
         ))

@@ -7,61 +7,21 @@
 //! out of the per-point loop once per [`Scenario`], so a sweep point costs
 //! one `resolve()` walk instead of a full database traversal.
 //!
-//! The cached evaluation replays the exact floating-point operations of
-//! [`crate::EnergyAnalyzer::block_energy`] in the exact order, so cached and
-//! uncached figures are bit-identical — the property the parallel sweep
-//! tests pin down.
+//! The hoisted figures are the analyzer's own per-block evaluator, built
+//! once per block instead of once per call, so cached and uncached
+//! figures are bit-identical — the property the parallel sweep tests pin
+//! down.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use monityre_node::RoundSchedule;
-use monityre_power::PowerBreakdown;
 use monityre_profile::Wheel;
 use monityre_units::{Duration, Energy, Power, Speed};
 use serde::{Deserialize, Serialize};
 
-use crate::{BlockEnergy, CoreError, NodeEnergy, Scenario};
-
-/// One block's speed-independent figures.
-#[derive(Debug, Clone)]
-struct BlockFigures {
-    name: String,
-    schedule: RoundSchedule,
-    rest_power: PowerBreakdown,
-    /// Power in each scheduled phase's mode, aligned with
-    /// `schedule.phases()` (and therefore with `schedule.resolve(..)`).
-    phase_powers: Vec<PowerBreakdown>,
-    /// Pre-multiplied `per_event × count` workload contributions, in
-    /// workload iteration order.
-    event_contributions: Vec<Energy>,
-}
-
-impl BlockFigures {
-    /// Replays [`crate::EnergyAnalyzer::block_energy`] for a concrete period.
-    fn energy(&self, period: Duration) -> BlockEnergy {
-        // Baseline: the whole round in the rest mode…
-        let mut energy = self.rest_power.over(period);
-        // …corrected by each phase's amortized delta over the rest mode.
-        for (phase, phase_power) in self.schedule.resolve(period).iter().zip(&self.phase_powers) {
-            let delta_dyn = phase_power.dynamic - self.rest_power.dynamic;
-            let delta_leak = phase_power.leakage - self.rest_power.leakage;
-            let share = phase.amortized_duration();
-            energy.dynamic += delta_dyn * share;
-            energy.leakage += delta_leak * share;
-        }
-        // Event energy is workload-proportional switching energy.
-        for contribution in &self.event_contributions {
-            energy.dynamic += *contribution;
-        }
-        BlockEnergy {
-            name: self.name.clone(),
-            energy,
-            duty_cycle: self.schedule.duty_cycle(period),
-        }
-    }
-}
+use crate::analyzer::{ensure_rolling, BlockFigures};
+use crate::{CoreError, NodeEnergy, Scenario};
 
 /// Hit/miss/eviction tallies of an [`EvalCache`]'s per-speed memo —
 /// see [`EvalCache::stats`]. All zeros when no memo is attached.
@@ -182,7 +142,7 @@ impl SpeedMemo {
 #[derive(Debug, Clone)]
 pub struct EvalCache {
     wheel: Wheel,
-    blocks: Vec<BlockFigures>,
+    blocks: Vec<BlockFigures<'static>>,
     /// Opt-in per-speed memo ([`Self::with_memo`]); `None` keeps the
     /// sweep hot path allocation- and lock-free.
     memo: Option<Arc<SpeedMemo>>,
@@ -198,31 +158,10 @@ impl EvalCache {
     pub fn new(scenario: &Scenario) -> Result<Self, CoreError> {
         let architecture = scenario.architecture();
         let conditions = scenario.conditions();
-        let mut blocks = Vec::with_capacity(architecture.len());
-        for name in architecture.block_names() {
-            let plan = architecture.plan(name)?;
-            let model = architecture.database().block(name)?;
-            let schedule = plan.schedule().clone();
-            let rest_power = model.power(schedule.rest_mode(), &conditions);
-            let phase_powers = schedule
-                .phases()
-                .iter()
-                .map(|phase| model.power(phase.mode, &conditions))
-                .collect();
-            let mut event_contributions = Vec::new();
-            for (kind, count) in plan.workload().iter() {
-                if let Some(per_event) = model.event_energy(kind, &conditions) {
-                    event_contributions.push(per_event * count);
-                }
-            }
-            blocks.push(BlockFigures {
-                name: name.to_owned(),
-                schedule,
-                rest_power,
-                phase_powers,
-                event_contributions,
-            });
-        }
+        let blocks = architecture
+            .block_names()
+            .map(|name| Ok(BlockFigures::new(architecture, name, &conditions)?.into_owned()))
+            .collect::<Result<_, CoreError>>()?;
         Ok(Self {
             wheel: *scenario.wheel(),
             blocks,
@@ -276,9 +215,7 @@ impl EvalCache {
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill or below.
     pub fn round_period(&self, speed: Speed) -> Result<Duration, CoreError> {
-        if speed.mps() <= 0.0 || !speed.is_finite() {
-            return Err(CoreError::round_undefined(speed.kmh()));
-        }
+        ensure_rolling(speed)?;
         Ok(self.wheel.round_period(speed))
     }
 
@@ -320,36 +257,6 @@ impl EvalCache {
         let value = self.node_energy(speed)?.total().total();
         memo.insert(key, value.joules());
         Ok(value)
-    }
-
-    /// One per-block walk serving the energy ledger: returns the
-    /// [`NodeEnergy`] figures, the replayed aggregate (the exact
-    /// [`NodeEnergy::total`] fold over them) and the aggregate the
-    /// memoized [`Self::required_per_round`] path reports for the same
-    /// speed — from the memo when warm (an independent witness for the
-    /// conservation check), otherwise the replayed value itself, which
-    /// is then inserted exactly as `required_per_round` would have, so
-    /// explaining a speed leaves the memo in the same state evaluating
-    /// it would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::RoundUndefined`] at standstill.
-    pub(crate) fn explain_figures(
-        &self,
-        speed: Speed,
-    ) -> Result<(NodeEnergy, Energy, Energy), CoreError> {
-        let node = self.node_energy(speed)?;
-        let replayed = node.total().total();
-        let Some(memo) = &self.memo else {
-            return Ok((node, replayed, replayed));
-        };
-        let key = speed.mps().to_bits();
-        if let Some(joules) = memo.get(key) {
-            return Ok((node, replayed, Energy::from_joules(joules)));
-        }
-        memo.insert(key, replayed.joules());
-        Ok((node, replayed, replayed))
     }
 
     /// Average node power while rolling at `speed`.

@@ -10,28 +10,23 @@
 //!
 //! Two conservation layers hold on every ledger:
 //!
-//! 1. **Float layer** — the ledger is built from *one* per-block walk,
-//!    and the replayed sum (the exact fold order of
-//!    [`crate::NodeEnergy::total`] plus the extras fold of
-//!    [`crate::ScenarioExtras::extra_required_per_round`]) must be
-//!    bit-identical to the aggregate the balance's memoized
-//!    [`crate::EnergyBalance::point`] path produces. With a warm memo the
-//!    memoized figure is a genuinely independent witness; without one the
-//!    property tests cross-check against `point()` directly.
+//! 1. **Float layer** — the ledger is built from the per-block walk
+//!    ([`crate::EvalCache::node_energy`]) and the surcharge pair
+//!    ([`crate::ScenarioExtras::surcharges`]) whose fold is the
+//!    aggregate [`crate::EnergyBalance::point`] reports. There is no
+//!    second copy of the arithmetic to disagree with, so this layer holds
+//!    by construction and `conserved` is always `true`; the property
+//!    tests pin the walk against `point()` bit for bit.
 //! 2. **Integer layer** — `consumed_nj` is *defined* as the sum of every
 //!    attributed component and `storage_delta_nj` as
 //!    `harvested_nj − consumed_nj`, so the nanojoule books balance by
 //!    construction and [`EnergyLedger::conservation_holds`] can recheck
 //!    them from the serialized form alone (the CI smoke does).
-//!
-//! A failed float check sets `conserved = false`, bumps the global
-//! `ledger.conservation_violations` counter and drops a flight-recorder
-//! event (which carries the active trace id as its exemplar), so a
-//! violating request is attributable end to end.
 
-use monityre_obs::{names, recorder, Registry};
 use monityre_units::{Energy, Speed};
 use serde::{Deserialize, Serialize};
+
+use crate::NodeEnergy;
 
 /// Nanojoules per joule — the ledger's one quantization constant.
 const NJ_PER_J: f64 = 1e9;
@@ -100,44 +95,38 @@ pub struct EnergyLedger {
     /// Net flow into storage per round: harvested − consumed, by
     /// construction (negative below break-even).
     pub storage_delta_nj: i64,
-    /// Whether the float-layer replay was bit-identical to the
-    /// aggregate `point()` figure.
+    /// The float layer: always `true`, since the ledger and `point()`
+    /// share one per-block walk. Kept on the wire for its readers.
     pub conserved: bool,
 }
 
 impl EnergyLedger {
-    /// Assembles a ledger from the single-walk figures the balance
-    /// gathered, running the conservation check.
-    ///
-    /// `aggregate_required` is the figure the `point()` path reports
-    /// (memoized when a memo is warm); `replayed_required` is the same
-    /// fold re-run over the per-block figures this ledger attributes.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a ledger from one per-block walk and the extended axes'
+    /// surcharges at the same speed.
     pub(crate) fn build(
-        speed: Speed,
-        blocks: Vec<LedgerEntry>,
+        node: &NodeEnergy,
         radio_extra: Energy,
         ageing_extra: Energy,
-        aggregate_required: Energy,
-        replayed_required: Energy,
         generated: Energy,
         raw: Energy,
     ) -> Self {
-        let conserved =
-            replayed_required.joules().to_bits() == aggregate_required.joules().to_bits();
-        if !conserved {
-            Registry::global()
-                .counter(names::LEDGER_CONSERVATION_VIOLATIONS)
-                .inc();
-            recorder::record_event(names::LEDGER_VIOLATION_EVENT);
-        }
+        let blocks: Vec<LedgerEntry> = node
+            .blocks
+            .iter()
+            .map(|block| LedgerEntry {
+                block: block.name.clone(),
+                dynamic_nj: quantize_nj(block.energy.dynamic),
+                static_nj: quantize_nj(block.energy.leakage),
+                duty: block.duty_cycle.active_fraction(),
+            })
+            .collect();
         let radio_retx_nj = quantize_nj(radio_extra);
         let ageing_leak_nj = quantize_nj(ageing_extra);
         let consumed_nj =
             blocks.iter().map(LedgerEntry::total_nj).sum::<i64>() + radio_retx_nj + ageing_leak_nj;
         let harvested_nj = quantize_nj(generated);
         Self {
-            speed,
+            speed: node.speed,
             blocks,
             radio_retx_nj,
             ageing_leak_nj,
@@ -145,12 +134,12 @@ impl EnergyLedger {
             harvested_nj,
             regulator_loss_nj: quantize_nj(raw - generated),
             storage_delta_nj: harvested_nj - consumed_nj,
-            conserved,
+            conserved: true,
         }
     }
 
-    /// Rechecks both conservation layers from the ledger's own fields —
-    /// trustworthy even after a wire round trip.
+    /// Rechecks the integer books (and the `conserved` flag) from the
+    /// ledger's own fields — trustworthy even after a wire round trip.
     #[must_use]
     pub fn conservation_holds(&self) -> bool {
         let component_sum = self.blocks.iter().map(LedgerEntry::total_nj).sum::<i64>()

@@ -19,6 +19,7 @@ use monityre_profile::Wheel;
 use monityre_sheet::Sheet;
 use monityre_units::{Energy, Speed};
 
+use crate::analyzer::ensure_rolling;
 use crate::{CoreError, ScenarioExtras};
 
 /// A generated spreadsheet that evaluates a node's energy per wheel round.
@@ -84,9 +85,7 @@ impl EnergyWorkbook {
         speed: Speed,
         extras: Option<&ScenarioExtras>,
     ) -> Result<Self, CoreError> {
-        if speed.mps() <= 0.0 || !speed.is_finite() {
-            return Err(CoreError::round_undefined(speed.kmh()));
-        }
+        ensure_rolling(speed)?;
         let mut sheet = Sheet::new();
         let sh = |e: monityre_sheet::SheetError| {
             CoreError::invalid_parameter(format!("workbook generation: {e}"))
@@ -249,9 +248,7 @@ impl EnergyWorkbook {
     ///
     /// Returns [`CoreError::RoundUndefined`] for non-positive speeds.
     pub fn set_speed(&mut self, speed: Speed) -> Result<(), CoreError> {
-        if speed.mps() <= 0.0 || !speed.is_finite() {
-            return Err(CoreError::round_undefined(speed.kmh()));
-        }
+        ensure_rolling(speed)?;
         self.sheet
             .set_number("in.speed_kmh", speed.kmh())
             .map_err(|e| CoreError::invalid_parameter(format!("speed edit: {e}")))

@@ -1,14 +1,15 @@
 //! Property-based tests for the energy ledger's conservation invariant:
-//! across random scenarios × extended axes × speeds, the attributed
-//! components sum bit-exactly (float layer) and integer-exactly
-//! (nanojoule layer) to the aggregate `BalancePoint` figures, and a
-//! ledger is byte-stable across memo states and repeated builds.
+//! across random scenarios × extended axes × speeds, the analyzer, the
+//! cache, `point()` and the ledger all read one per-block walk (float
+//! layer), the attributed components sum integer-exactly to the aggregate
+//! `BalancePoint` figures (nanojoule layer), and a ledger is byte-stable
+//! across memo states and repeated builds.
 
 use monityre_core::{
     quantize_nj, EnergyBalance, RadioLink, Scenario, ScenarioExtras, StorageAgeing,
 };
 use monityre_node::{Architecture, NodeConfig};
-use monityre_power::{ProcessCorner, WorkingConditions};
+use monityre_power::{EnergyBreakdown, ProcessCorner, WorkingConditions};
 use monityre_units::{Speed, Temperature};
 use proptest::prelude::*;
 
@@ -50,8 +51,73 @@ fn scenario_of(
     builder.build()
 }
 
+/// The exact bit patterns of a breakdown's two halves.
+fn bits(e: EnergyBreakdown) -> [u64; 2] {
+    [e.dynamic.joules().to_bits(), e.leakage.joules().to_bits()]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One per-block walk feeds every consumer: the analyzer and the
+    /// cache agree on it per block, bit for bit; `point().required` is
+    /// its total folded with `extra_required_per_round`, bit for bit,
+    /// without a memo, on a cold memo and on a warm one; and the
+    /// ledger's lines are its figures and the axes' surcharges,
+    /// quantized. Explaining leaves the memo untouched.
+    #[test]
+    fn one_walk_feeds_analyzer_cache_point_and_ledger(
+        celsius in -40.0f64..125.0,
+        corner in 0usize..3,
+        samples in 1u32..512,
+        tx_period in 1u32..16,
+        loss in 0.0f64..0.9,
+        retries in 0u32..16,
+        age in 0.0f64..=30.0,
+        extras_coin in 0u32..2,
+        kmh in 5.0f64..220.0,
+    ) {
+        let scenario = scenario_of(celsius, corner, samples, tx_period, loss, retries, age, extras_coin == 1);
+        let speed = Speed::from_kmh(kmh);
+        let cache = scenario.cache().unwrap();
+        let walk = cache.node_energy(speed).unwrap();
+        let direct = scenario.analyzer().node_energy(speed).unwrap();
+        prop_assert_eq!(direct.blocks.len(), walk.blocks.len());
+        for (d, w) in direct.blocks.iter().zip(&walk.blocks) {
+            prop_assert_eq!(&d.name, &w.name);
+            prop_assert_eq!(bits(d.energy), bits(w.energy));
+            prop_assert_eq!(d.duty_cycle, w.duty_cycle);
+        }
+
+        let temperature = scenario.conditions().temperature();
+        let (radio, ageing) = scenario.extras().map_or(Default::default(), |extras| {
+            extras.surcharges(temperature, scenario.wheel(), speed)
+        });
+        let mut required = walk.total().total();
+        if let Some(extras) = scenario.extras() {
+            required += extras.extra_required_per_round(temperature, scenario.wheel(), speed);
+        }
+        let plain = EnergyBalance::with_cache(&scenario, cache.clone());
+        let memo_cache = cache.with_memo(32);
+        let memoized = EnergyBalance::with_cache(&scenario, memo_cache.clone());
+        for balance in [&plain, &memoized, &memoized] {
+            let point = balance.point(speed).unwrap();
+            prop_assert_eq!(point.required.joules().to_bits(), required.joules().to_bits());
+        }
+
+        let ledger = memoized.explain(speed).unwrap();
+        prop_assert_eq!(ledger.blocks.len(), walk.blocks.len());
+        for (line, w) in ledger.blocks.iter().zip(&walk.blocks) {
+            prop_assert_eq!(&line.block, &w.name);
+            prop_assert_eq!(line.dynamic_nj, quantize_nj(w.energy.dynamic));
+            prop_assert_eq!(line.static_nj, quantize_nj(w.energy.leakage));
+            prop_assert_eq!(line.duty.to_bits(), w.duty_cycle.active_fraction().to_bits());
+        }
+        prop_assert_eq!(ledger.radio_retx_nj, quantize_nj(radio));
+        prop_assert_eq!(ledger.ageing_leak_nj, quantize_nj(ageing));
+        let memo = memo_cache.stats();
+        prop_assert_eq!((memo.hits, memo.misses), (1, 1));
+    }
 
     /// The two conservation layers hold for every scenario × speed the
     /// generator can produce, and the ledger's aggregates are the

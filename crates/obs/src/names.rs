@@ -83,14 +83,11 @@ pub const FLEET_STREAMED: &str = "fleet.streamed";
 /// the trace tree, so per-vehicle wall time shows up in dumps.
 pub const FLEET_VEHICLE: &str = "fleet.vehicle";
 
-/// Energy-ledger builds whose float-layer replay was NOT bit-identical
-/// to the aggregate `point()` figure (process-global). CI asserts this
-/// stays zero across the chaos matrix and the golden fleet run.
+/// Energy-ledger conservation violations (process-global). The ledger
+/// and the aggregate `point()` figure share one per-block walk, so
+/// nothing increments it; CI, the chaos matrix and the benchmark assert
+/// it reads zero.
 pub const LEDGER_CONSERVATION_VIOLATIONS: &str = "ledger.conservation_violations";
-
-/// Flight-recorder event dropped alongside each conservation violation;
-/// carries the active trace id as its exemplar.
-pub const LEDGER_VIOLATION_EVENT: &str = "ledger.conservation.violation";
 
 /// Per-block attribution gauge prefix
 /// (`energy.block.<name>.{dynamic,static}_nj`), refreshed from the most
@@ -143,7 +140,6 @@ mod tests {
             FLEET_STREAMED,
             FLEET_VEHICLE,
             LEDGER_CONSERVATION_VIOLATIONS,
-            LEDGER_VIOLATION_EVENT,
             ENERGY_BLOCK_PREFIX,
             INGEST_DEFICIT_BLOCK_PREFIX,
             CLIENT_ATTEMPTS,
