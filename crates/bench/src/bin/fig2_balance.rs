@@ -4,7 +4,7 @@
 
 use monityre_bench::{expect, header, measure_sweep, parse_args, record_bench, reference_scenario};
 use monityre_core::report::{ascii_chart, Series, Table};
-use monityre_core::{speed_grid, EnergyBalance};
+use monityre_core::{speed_grid, EnergyBalance, SweepExecutor};
 use monityre_units::Speed;
 
 const STEPS: usize = 196;
@@ -85,23 +85,41 @@ fn main() {
         None => println!("break-even speed: none in the swept range"),
     }
 
-    // Sustained throughput of the Fig. 2 sweep, serial vs parallel: the
-    // 196-point batch is replicated and evaluated in one executor pass so
-    // the spawn cost of the scoped workers is amortized the way any
-    // batch-shaped caller (corner/config grids, Monte Carlo) amortizes it.
-    const BATCHES: usize = 64;
+    // Throughput of the Fig. 2 sweep, serial vs parallel, in two shapes:
+    // one 196-point batch per executor pass (what a served sweep runs, so
+    // the executor decides alone whether helpers pay), and the batch
+    // replicated 64× into one pass (sustained throughput, the way corner/
+    // config grids and Monte Carlo hand the executor long maps).
     let speeds = speed_grid(lo, hi, STEPS);
+    let sweep = |items: &[Speed], executor: &SweepExecutor| {
+        let points = executor.map(items, |_, &speed| {
+            balance.point(speed).expect("swept speeds are positive")
+        });
+        assert_eq!(points.len(), items.len());
+    };
+    record_bench(measure_sweep(
+        "fig2-balance-sweep-1x",
+        STEPS,
+        1,
+        200,
+        |executor| {
+            sweep(&speeds, executor);
+        },
+    ));
+    const BATCHES: usize = 64;
     let items: Vec<Speed> = speeds
         .iter()
         .copied()
         .cycle()
         .take(STEPS * BATCHES)
         .collect();
-    let result = measure_sweep("fig2-balance-sweep", STEPS, BATCHES, 10, |executor| {
-        let points = executor.map(&items, |_, &speed| {
-            balance.point(speed).expect("swept speeds are positive")
-        });
-        assert_eq!(points.len(), items.len());
-    });
-    record_bench(result);
+    record_bench(measure_sweep(
+        "fig2-balance-sweep",
+        STEPS,
+        BATCHES,
+        10,
+        |executor| {
+            sweep(&items, executor);
+        },
+    ));
 }

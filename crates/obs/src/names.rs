@@ -112,6 +112,11 @@ pub const CLIENT_BACKOFF_MS: &str = "client.backoff_ms";
 /// (`client.errors.{transport,protocol,server}`, process-global).
 pub const CLIENT_ERRORS_PREFIX: &str = "client.errors";
 
+/// Sweep maps that spawned helper threads (process-global). Each
+/// `SweepExecutor` map records one `sweep.batch` span, so the two read
+/// together give the share of maps that fanned out.
+pub const SWEEP_FANOUT: &str = "sweep.fanout";
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +150,7 @@ mod tests {
             CLIENT_ATTEMPTS,
             CLIENT_BACKOFF_MS,
             CLIENT_ERRORS_PREFIX,
+            SWEEP_FANOUT,
         ];
         for (i, name) in all.iter().enumerate() {
             assert!(name
