@@ -109,6 +109,9 @@ impl Serialize for TraceContext {
     fn to_value(&self) -> Value {
         Value::Str(self.wire())
     }
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(out, &self.wire());
+    }
 }
 
 impl Deserialize for TraceContext {

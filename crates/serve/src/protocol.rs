@@ -180,6 +180,9 @@ impl Serialize for Op {
     fn to_value(&self) -> Value {
         Value::Str(self.name().to_owned())
     }
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(out, self.name());
+    }
 }
 
 impl Deserialize for Op {
@@ -260,6 +263,9 @@ impl ErrorCode {
 impl Serialize for ErrorCode {
     fn to_value(&self) -> Value {
         Value::Str(self.name().to_owned())
+    }
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(out, self.name());
     }
 }
 

@@ -18,6 +18,7 @@
 //! are still admitted and answered, and every thread joins before
 //! [`ServerHandle::wait`] returns.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use monityre_core::SweepExecutor;
 use monityre_faults::{FaultKind, FaultPlan};
+use serde::Serialize as _;
 
 use crate::dedup::DedupMap;
 use crate::protocol::{ErrorCode, Op, Params, Payload, Request, Response, MAX_LINE_BYTES};
@@ -35,6 +37,9 @@ use crate::worker::{Engine, Gate, Job, Refusal};
 
 /// How often blocked reads wake up to poll the shutdown flag.
 const POLL_PERIOD: Duration = Duration::from_millis(200);
+
+/// How long a response write may block before the connection is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server tuning; every field has a sensible default.
 #[derive(Debug, Clone)]
@@ -576,11 +581,22 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
+/// Per-connection socket setup: the read timeout that lets the handler
+/// poll the shutdown flag, the write timeout that bounds a stuck peer, and
+/// `TCP_NODELAY`. Without it Nagle holds a small response while an
+/// earlier segment is still unacknowledged, and a peer that delays its
+/// ACKs adds its ACK timer to that reply — the common case on a
+/// connection that keeps requests in flight while answers come back.
+fn configure_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(POLL_PERIOD))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_nodelay(true)
+}
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    if stream.set_read_timeout(Some(POLL_PERIOD)).is_err() {
+    if configure_stream(&stream).is_err() {
         return;
     }
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
@@ -589,6 +605,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // mid-line, and the bytes already consumed from the socket stay here
     // until the terminating newline arrives.
     let mut line: Vec<u8> = Vec::new();
+    // Every response on this connection is framed into this one buffer.
+    let mut frame_buf = String::new();
     loop {
         let outcome = read_more(&mut reader, &mut line);
         if matches!(outcome, ReadOutcome::Line | ReadOutcome::WouldBlock)
@@ -600,13 +618,24 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 format!("request line exceeds {MAX_LINE_BYTES} bytes"),
             );
             shared.engine.stats.record_bad_request();
-            let _ = send_response(&mut writer, &response, shared.faults.as_deref());
+            let _ = send_response(
+                &mut writer,
+                &response,
+                shared.faults.as_deref(),
+                &mut frame_buf,
+            );
             return;
         }
         match outcome {
             ReadOutcome::Line => {
-                let keep_going = serve_line(&line, &mut writer, shared);
+                let keep_going = serve_line(&line, &mut writer, &mut frame_buf, shared);
                 line.clear();
+                // Keep the frame buffer no larger than the line buffer
+                // may grow: a million-point sweep's answer is not worth
+                // holding for the life of the connection.
+                if frame_buf.capacity() > MAX_LINE_BYTES {
+                    frame_buf = String::new();
+                }
                 if !keep_going {
                     return;
                 }
@@ -615,7 +644,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             ReadOutcome::Eof => {
                 if !line.is_empty() {
                     // Final unterminated line: serve it, then hang up.
-                    let _ = serve_line(&line, &mut writer, shared);
+                    let _ = serve_line(&line, &mut writer, &mut frame_buf, shared);
                 }
                 return;
             }
@@ -661,9 +690,14 @@ fn read_more<R: Read>(reader: &mut BufReader<R>, line: &mut Vec<u8>) -> ReadOutc
     }
 }
 
-/// Serves one request line; returns `false` when the connection (or the
-/// whole server) should stop.
-fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool {
+/// Serves one request line, framing the response into `frame_buf`;
+/// returns `false` when the connection (or the whole server) should stop.
+fn serve_line(
+    raw: &[u8],
+    writer: &mut TcpStream,
+    frame_buf: &mut String,
+    shared: &Arc<Shared>,
+) -> bool {
     let received = Instant::now();
     let stats = &shared.engine.stats;
     let faults = shared.faults.as_deref();
@@ -679,7 +713,7 @@ fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool 
             stats.record_bad_request();
             let response =
                 Response::failure(None, ErrorCode::BadRequest, "request line is not UTF-8");
-            return send_response(writer, &response, faults).is_ok();
+            return send_response(writer, &response, faults, frame_buf).is_ok();
         }
     };
     if text.is_empty() {
@@ -694,14 +728,14 @@ fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool 
                 ErrorCode::BadRequest,
                 format!("request does not parse: {e}"),
             );
-            return send_response(writer, &response, faults).is_ok();
+            return send_response(writer, &response, faults, frame_buf).is_ok();
         }
     };
     let id = request.id;
     if let Err(message) = request.validate() {
         stats.record_bad_request();
         let response = Response::failure(id, ErrorCode::BadRequest, message);
-        return send_response(writer, &response, faults).is_ok();
+        return send_response(writer, &response, faults, frame_buf).is_ok();
     }
     // Install the wire trace context for the rest of the request: control
     // ops and evaluation alike run on this thread.
@@ -734,7 +768,7 @@ fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool 
             // Acknowledge first so the client sees the answer even though
             // this connection closes right after. Never faulted: losing
             // the ack would strand the drain.
-            let _ = write_response(writer, &Response::success(id, Payload::Draining));
+            let _ = write_response(writer, &Response::success(id, Payload::Draining), frame_buf);
             shared.trigger_shutdown();
             return false;
         }
@@ -768,7 +802,7 @@ fn serve_line(raw: &[u8], writer: &mut TcpStream, shared: &Arc<Shared>) -> bool 
             }
         },
     };
-    send_response(writer, &response, faults).is_ok()
+    send_response(writer, &response, faults, frame_buf).is_ok()
 }
 
 /// Ranks the recorded series names by edit distance to the requested
@@ -805,11 +839,22 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-fn write_response(writer: &mut TcpStream, response: &Response) -> io::Result<()> {
-    let mut payload = serde_json::to_string(response)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    payload.push('\n');
-    writer.write_all(payload.as_bytes())?;
+/// Renders `response` as one wire frame — compact JSON and a `\n` —
+/// into `buf`, replacing what it held. The buffer is the connection's
+/// own, so steady-state framing allocates nothing.
+fn frame(response: &Response, buf: &mut String) {
+    buf.clear();
+    response.write_json(buf);
+    buf.push('\n');
+}
+
+fn write_response(
+    writer: &mut TcpStream,
+    response: &Response,
+    frame_buf: &mut String,
+) -> io::Result<()> {
+    frame(response, frame_buf);
+    writer.write_all(frame_buf.as_bytes())?;
     writer.flush()
 }
 
@@ -834,9 +879,10 @@ fn send_response(
     writer: &mut TcpStream,
     response: &Response,
     faults: Option<&FaultPlan>,
+    frame_buf: &mut String,
 ) -> io::Result<()> {
     let Some(plan) = faults else {
-        return write_response(writer, response);
+        return write_response(writer, response, frame_buf);
     };
     if plan.decide(FaultKind::ConnReset) {
         let _ = writer.shutdown(Shutdown::Both);
@@ -850,10 +896,8 @@ fn send_response(
     } else if plan.decide(FaultKind::DelayResponse) {
         thread::sleep(plan.delay());
     }
-    let mut payload = serde_json::to_string(response)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    payload.push('\n');
-    let mut bytes = payload.into_bytes();
+    frame(response, frame_buf);
+    let mut bytes = Cow::Borrowed(frame_buf.as_bytes());
     if plan.decide(FaultKind::TruncateFrame) {
         let cut = bytes.len() / 2;
         writer.write_all(&bytes[..cut])?;
@@ -865,7 +909,7 @@ fn send_response(
         ));
     }
     if plan.decide(FaultKind::CorruptFrame) {
-        bytes[0] ^= 0x80;
+        bytes.to_mut()[0] ^= 0x80;
     }
     if plan.decide(FaultKind::PartialWrite) {
         let cut = (bytes.len() / 2).max(1);
@@ -907,6 +951,27 @@ mod tests {
             .find_map(|line| line.strip_prefix("monityre_serve_connections "))
             .and_then(|value| value.trim().parse().ok())
             .expect("the serve.connections gauge is exported")
+    }
+
+    #[test]
+    fn accepted_streams_get_nodelay_and_both_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        assert!(
+            !stream.nodelay().expect("nodelay"),
+            "sockets start with Nagle on"
+        );
+        configure_stream(&stream).expect("configure");
+        assert!(stream.nodelay().expect("nodelay"));
+        assert_eq!(
+            stream.read_timeout().expect("read timeout"),
+            Some(POLL_PERIOD)
+        );
+        assert_eq!(
+            stream.write_timeout().expect("write timeout"),
+            Some(WRITE_TIMEOUT)
+        );
     }
 
     #[test]

@@ -776,6 +776,9 @@ impl Serialize for Sheet {
     fn to_value(&self) -> Value {
         self.cells.to_value()
     }
+    fn write_json(&self, out: &mut String) {
+        self.cells.write_json(out);
+    }
 }
 
 impl Deserialize for Sheet {
