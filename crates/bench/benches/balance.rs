@@ -1,5 +1,6 @@
 //! Criterion bench: energy-balance sweep throughput (the FIG2 workload),
-//! serial and on the parallel sweep executor.
+//! serial and on the parallel sweep executor, beside the early-stopping
+//! break-even scan over the same grids.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use monityre_bench::{reference_scenario, BENCH_THREADS};
@@ -31,6 +32,22 @@ fn bench_balance(c: &mut Criterion) {
                         &executor,
                     );
                     std::hint::black_box(report.break_even())
+                });
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("break_even", steps),
+            &steps,
+            |b, &steps| {
+                let executor = SweepExecutor::serial();
+                b.iter(|| {
+                    std::hint::black_box(balance.break_even(
+                        Speed::from_kmh(5.0),
+                        Speed::from_kmh(200.0),
+                        steps,
+                        &executor,
+                        &|| false,
+                    ))
                 });
             },
         );

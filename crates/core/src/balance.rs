@@ -67,20 +67,8 @@ impl BalanceReport {
     #[must_use]
     pub fn break_even(&self) -> Option<Speed> {
         let first_surplus = self.points.iter().position(BalancePoint::is_surplus)?;
-        if first_surplus == 0 {
-            return Some(self.points[0].speed);
-        }
-        let a = &self.points[first_surplus - 1];
-        let b = &self.points[first_surplus];
-        // Root of net(v) between a (negative) and b (non-negative).
-        let na = a.net().joules();
-        let nb = b.net().joules();
-        let w = if (nb - na).abs() < f64::EPSILON {
-            1.0
-        } else {
-            -na / (nb - na)
-        };
-        Some(a.speed + (b.speed - a.speed) * w.clamp(0.0, 1.0))
+        let before = first_surplus.checked_sub(1).map(|i| &self.points[i]);
+        Some(crossing(before, &self.points[first_surplus]))
     }
 
     /// The worst (most negative) deficit point, if any speed runs at a
@@ -117,16 +105,49 @@ impl BalanceReport {
 /// Panics if `steps < 2`, `lo` is not positive, or `hi ≤ lo`.
 #[must_use]
 pub fn speed_grid(lo: Speed, hi: Speed, steps: usize) -> Vec<Speed> {
+    check_grid(lo, hi, steps);
+    (0..steps).map(|i| grid_speed(lo, hi, steps, i)).collect()
+}
+
+/// The contract of [`speed_grid`], checked up front by every grid walk.
+fn check_grid(lo: Speed, hi: Speed, steps: usize) {
     assert!(steps >= 2, "sweep needs at least two samples");
     assert!(lo.mps() > 0.0, "sweep must start above standstill");
     assert!(hi > lo, "sweep range must be increasing");
-    (0..steps)
-        .map(|i| {
-            let w = i as f64 / (steps - 1) as f64;
-            lo + (hi - lo) * w
-        })
-        .collect()
 }
+
+/// Sample `i` of [`speed_grid`]`(lo, hi, steps)`, computed on its own so
+/// a scan can walk a prefix of the grid without materialising the rest.
+fn grid_speed(lo: Speed, hi: Speed, steps: usize, i: usize) -> Speed {
+    let w = i as f64 / (steps - 1) as f64;
+    lo + (hi - lo) * w
+}
+
+/// The break-even given the first surplus sample `first` and the sample
+/// just below it, `before` (`None` when `first` opens the grid): the
+/// linear root of net(v) between the two, or `first`'s own speed when
+/// the grid starts in surplus. [`BalanceReport::break_even`] and
+/// [`EnergyBalance::break_even`] both end here, so their bits agree.
+fn crossing(before: Option<&BalancePoint>, first: &BalancePoint) -> Speed {
+    let Some(a) = before else {
+        return first.speed;
+    };
+    // Root of net(v) between a (negative) and first (non-negative).
+    let na = a.net().joules();
+    let nb = first.net().joules();
+    let w = if (nb - na).abs() < f64::EPSILON {
+        1.0
+    } else {
+        -na / (nb - na)
+    };
+    a.speed + (first.speed - a.speed) * w.clamp(0.0, 1.0)
+}
+
+/// Samples in the first chunk of an [`EnergyBalance::break_even`] scan;
+/// each later chunk doubles, so an early crossing costs one small inline
+/// map while a late one on a long grid still gets chunks worth fanning
+/// out.
+const SCAN_FIRST_CHUNK: usize = 16;
 
 /// Couples a [`Scenario`]'s demand (through a memoized [`EvalCache`]) to
 /// its harvesting chain's supply.
@@ -293,6 +314,48 @@ impl EnergyBalance {
         })?;
         Some(BalanceReport { points })
     }
+
+    /// The break-even speed of the `[lo, hi]` grid with `steps` samples,
+    /// found by scanning the grid upwards and stopping at the first
+    /// surplus instead of sweeping all of it. Chunks of
+    /// [`SCAN_FIRST_CHUNK`], then twice as many, and so on, each go
+    /// through `executor` with `cancelled` polled between them. Returns
+    /// `None` when cancelled, `Some(None)` when the curves never cross,
+    /// and otherwise exactly the bits of
+    /// `self.sweep(lo, hi, steps).break_even()` for any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps < 2`, `lo` is not positive, or `hi ≤ lo`.
+    #[must_use]
+    pub fn break_even<C: Fn() -> bool + Sync>(
+        &self,
+        lo: Speed,
+        hi: Speed,
+        steps: usize,
+        executor: &SweepExecutor,
+        cancelled: &C,
+    ) -> Option<Option<Speed>> {
+        let _span = monityre_obs::span!("balance.break_even");
+        check_grid(lo, hi, steps);
+        let mut before: Option<BalancePoint> = None;
+        let (mut start, mut chunk) = (0, SCAN_FIRST_CHUNK);
+        while start < steps {
+            let end = steps.min(start + chunk);
+            let speeds: Vec<Speed> = (start..end).map(|i| grid_speed(lo, hi, steps, i)).collect();
+            let points = executor.map_cancellable(&speeds, cancelled, |_, &speed| {
+                self.point(speed)
+                    .expect("speeds in a validated sweep are positive")
+            })?;
+            if let Some(first) = points.iter().position(BalancePoint::is_surplus) {
+                let below = first.checked_sub(1).map(|i| &points[i]);
+                return Some(Some(crossing(below.or(before.as_ref()), &points[first])));
+            }
+            before = points.last().copied();
+            (start, chunk) = (end, chunk * 2);
+        }
+        Some(None)
+    }
 }
 
 #[cfg(test)]
@@ -449,6 +512,20 @@ mod tests {
         assert!(balance
             .sweep_cancellable(lo, hi, 96, &SweepExecutor::new(3), &|| true)
             .is_none());
+    }
+
+    #[test]
+    fn cancelled_break_even_scan_returns_none() {
+        let balance = EnergyBalance::new(&Scenario::reference()).unwrap();
+        let (lo, hi) = (Speed::from_kmh(5.0), Speed::from_kmh(200.0));
+        for threads in [1, 3] {
+            let executor = SweepExecutor::new(threads);
+            assert_eq!(balance.break_even(lo, hi, 196, &executor, &|| true), None);
+            assert_eq!(
+                balance.break_even(lo, hi, 196, &executor, &|| false),
+                Some(balance.sweep(lo, hi, 196).break_even())
+            );
+        }
     }
 
     #[test]

@@ -180,9 +180,14 @@ impl MonteCarlo {
         let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, index));
         let arch = self.draw(&mut rng)?;
         let varied = self.scenario.with_architecture(arch);
-        let report =
-            EnergyBalance::new(&varied)?.sweep(Speed::from_kmh(6.0), Speed::from_kmh(220.0), 108);
-        Ok(report.break_even())
+        let break_even = EnergyBalance::new(&varied)?.break_even(
+            Speed::from_kmh(6.0),
+            Speed::from_kmh(220.0),
+            108,
+            &SweepExecutor::serial(),
+            &|| false,
+        );
+        Ok(break_even.expect("a never-cancelled scan always completes"))
     }
 
     /// Samples `n` instances serially and collects the break-even

@@ -207,11 +207,21 @@ impl BreakEvenOptimizer {
         candidates
     }
 
+    /// A candidate configuration's balance: the optimizer's scenario
+    /// with only the node architecture swapped.
+    fn candidate_balance(&self, config: &NodeConfig) -> EnergyBalance {
+        let derived = self
+            .scenario
+            .with_architecture(Architecture::from_config(*config));
+        EnergyBalance::new(&derived).expect("reference-grid configs always build")
+    }
+
     /// Runs the search over `[lo, hi]` sampled at `steps` speeds per
     /// candidate, fanning candidates across `executor` and polling
-    /// `cancelled` between chunks. `Ok(None)` means the search was
-    /// abandoned (deadline). A completed search is bit-identical for any
-    /// thread count.
+    /// `cancelled` between chunks. Each candidate scans its grid only up
+    /// to its crossing ([`EnergyBalance::break_even`]). `Ok(None)` means
+    /// the search was abandoned (deadline). A completed search is
+    /// bit-identical for any thread count.
     ///
     /// # Errors
     ///
@@ -233,27 +243,103 @@ impl BreakEvenOptimizer {
         // Build the baseline eagerly so malformed scenarios fail with a
         // typed error instead of panicking inside a worker.
         let baseline = EnergyBalance::new(&self.scenario)?;
+        let Some(baseline_break_even) = baseline.break_even(lo, hi, steps, executor, cancelled)
+        else {
+            return Ok(None);
+        };
+        let baseline_kmh = baseline_break_even.map(Speed::kmh);
+        // Every candidate is explained at one common speed — the
+        // baseline's break-even (the operating point the search is
+        // about) or the swept midpoint when the baseline never crosses —
+        // so each candidate reports its consumption from the same build
+        // that scanned it.
+        let ledger_speed_kmh = baseline_kmh.unwrap_or_else(|| (lo.kmh() + hi.kmh()) / 2.0);
+        let ledger_speed = Speed::from_kmh(ledger_speed_kmh);
+        let baseline_ledger = baseline.explain(ledger_speed)?;
         let candidates = Self::candidates();
+        let serial = SweepExecutor::serial();
         let outcomes = executor.map_cancellable(&candidates, cancelled, |_, candidate| {
+            let Some(config) = candidate else {
+                return Ok((baseline_kmh, baseline_ledger.consumed_nj));
+            };
+            let balance = self.candidate_balance(config);
+            let break_even = balance
+                .break_even(lo, hi, steps, &serial, &|| false)
+                .expect("a never-cancelled scan always completes");
+            let consumed_nj = balance.explain(ledger_speed)?.consumed_nj;
+            Ok((break_even.map(Speed::kmh), consumed_nj))
+        });
+        let Some(outcomes) = outcomes else {
+            return Ok(None);
+        };
+        let outcomes = outcomes
+            .into_iter()
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        // First-wins comparison in candidate order: deterministic for
+        // any executor, and the baseline wins every exact tie.
+        let mut best_index = 0usize;
+        let mut best = baseline_kmh.unwrap_or(f64::INFINITY);
+        for (index, (outcome, _)) in outcomes.iter().enumerate().skip(1) {
+            let value = outcome.unwrap_or(f64::INFINITY);
+            if value < best {
+                best = value;
+                best_index = index;
+            }
+        }
+        let best_ledger = match &candidates[best_index] {
+            None => baseline_ledger.clone(),
+            Some(config) => self.candidate_balance(config).explain(ledger_speed)?,
+        };
+        Ok(Some(OptimizeReport {
+            baseline_kmh,
+            best_kmh: outcomes[best_index].0,
+            best: candidates[best_index].as_ref().map(CandidateConfig::of),
+            candidates: candidates.len(),
+            ledger_speed_kmh: Some(ledger_speed_kmh),
+            ledger_deltas: ledger_deltas(&baseline_ledger, &best_ledger),
+            candidate_consumed_nj: outcomes.iter().map(|(_, consumed)| *consumed).collect(),
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{RadioLink, ScenarioExtras, StorageAgeing};
+    use monityre_harvest::HarvestChain;
+    use monityre_power::WorkingConditions;
+    use monityre_units::Temperature;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The search without shortcuts: one full sweep per candidate, then
+    /// a serial pass that builds every candidate a second time to
+    /// explain it. [`BreakEvenOptimizer::search`] must match its report
+    /// byte for byte.
+    fn reference_search(
+        optimizer: &BreakEvenOptimizer,
+        lo: Speed,
+        hi: Speed,
+        steps: usize,
+        executor: &SweepExecutor,
+    ) -> OptimizeReport {
+        let baseline = EnergyBalance::new(&optimizer.scenario).unwrap();
+        let candidates = BreakEvenOptimizer::candidates();
+        let outcomes = executor.map(&candidates, |_, candidate| {
             let break_even = match candidate {
                 None => baseline.sweep(lo, hi, steps).break_even(),
                 Some(config) => {
-                    let derived = self
+                    let derived = optimizer
                         .scenario
                         .with_architecture(Architecture::from_config(*config));
                     EnergyBalance::new(&derived)
-                        .expect("reference-grid configs always build")
+                        .unwrap()
                         .sweep(lo, hi, steps)
                         .break_even()
                 }
             };
             break_even.map(|speed| speed.kmh())
         });
-        let Some(outcomes) = outcomes else {
-            return Ok(None);
-        };
-        // First-wins comparison in candidate order: deterministic for
-        // any executor, and the baseline wins every exact tie.
         let mut best_index = 0usize;
         let mut best = outcomes[0].unwrap_or(f64::INFINITY);
         for (index, outcome) in outcomes.iter().enumerate().skip(1) {
@@ -263,26 +349,22 @@ impl BreakEvenOptimizer {
                 best_index = index;
             }
         }
-        // Attribution pass: explain every candidate at one common speed
-        // — the baseline's break-even (the operating point the search is
-        // about) or the swept midpoint when the baseline never crosses.
-        // Runs serially after the search so the report stays
-        // bit-identical for any thread count.
         let ledger_speed_kmh = outcomes[0].unwrap_or_else(|| (lo.kmh() + hi.kmh()) / 2.0);
         let ledger_speed = Speed::from_kmh(ledger_speed_kmh);
-        let baseline_ledger = baseline.explain(ledger_speed)?;
+        let baseline_ledger = baseline.explain(ledger_speed).unwrap();
         let mut candidate_consumed_nj = Vec::with_capacity(candidates.len());
         let mut best_ledger = baseline_ledger.clone();
         for (index, candidate) in candidates.iter().enumerate() {
             let ledger = match candidate {
                 None => baseline_ledger.clone(),
                 Some(config) => {
-                    let derived = self
+                    let derived = optimizer
                         .scenario
                         .with_architecture(Architecture::from_config(*config));
                     EnergyBalance::new(&derived)
-                        .expect("reference-grid configs always build")
-                        .explain(ledger_speed)?
+                        .unwrap()
+                        .explain(ledger_speed)
+                        .unwrap()
                 }
             };
             candidate_consumed_nj.push(ledger.consumed_nj);
@@ -290,7 +372,7 @@ impl BreakEvenOptimizer {
                 best_ledger = ledger;
             }
         }
-        Ok(Some(OptimizeReport {
+        OptimizeReport {
             baseline_kmh: outcomes[0],
             best_kmh: outcomes[best_index],
             best: candidates[best_index].as_ref().map(CandidateConfig::of),
@@ -298,13 +380,70 @@ impl BreakEvenOptimizer {
             ledger_speed_kmh: Some(ledger_speed_kmh),
             ledger_deltas: ledger_deltas(&baseline_ledger, &best_ledger),
             candidate_consumed_nj,
-        }))
+        }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// A scenario and grid like the cold `optimize` requests a fleet
+    /// sends: a random temperature, scavenger size and (sometimes) each
+    /// extended axis, over a random range and step count.
+    fn cold_case(seed: u64) -> (Scenario, Speed, Speed, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut extras = ScenarioExtras::none();
+        if rng.gen_range(0..2) == 0 {
+            extras = extras.with_radio(RadioLink::new(rng.gen_range(0.0..0.5), 3));
+        }
+        if rng.gen_range(0..2) == 0 {
+            extras = extras.with_ageing(StorageAgeing::new(rng.gen_range(0.0..12.0)));
+        }
+        let celsius = rng.gen_range(-20.0..90.0);
+        let scenario = Scenario::builder()
+            .conditions(
+                WorkingConditions::reference().with_temperature(Temperature::from_celsius(celsius)),
+            )
+            .chain(HarvestChain::reference().scaled(rng.gen_range(0.6..2.5)))
+            .extras(extras)
+            .build();
+        let from = rng.gen_range(3.0..40.0);
+        let to = from + rng.gen_range(20.0..200.0);
+        let steps = rng.gen_range(2..97);
+        (scenario, Speed::from_kmh(from), Speed::from_kmh(to), steps)
+    }
+
+    #[test]
+    fn search_matches_the_two_build_reference() {
+        let starved = Scenario::builder()
+            .chain(HarvestChain::reference().scaled(0.01))
+            .build();
+        let (lo, hi) = (Speed::from_kmh(5.0), Speed::from_kmh(200.0));
+        let mut cases = vec![(Scenario::reference(), lo, hi, 48), (starved, lo, hi, 24)];
+        cases.extend((1..=8).map(cold_case));
+        let mut never_crossed = 0;
+        for (case, (scenario, lo, hi, steps)) in cases.iter().enumerate() {
+            let optimizer = BreakEvenOptimizer::new(scenario);
+            for threads in [1, 3] {
+                let executor = SweepExecutor::new(threads);
+                let expected = reference_search(&optimizer, *lo, *hi, *steps, &executor);
+                let report = optimizer
+                    .search(*lo, *hi, *steps, &executor, &|| false)
+                    .unwrap()
+                    .expect("not cancelled");
+                assert_eq!(
+                    serde_json::to_string(&report).unwrap(),
+                    serde_json::to_string(&expected).unwrap(),
+                    "case {case} at {threads} thread(s)"
+                );
+                if report.baseline_kmh.is_none() {
+                    never_crossed += 1;
+                    assert_eq!(
+                        report.ledger_speed_kmh,
+                        Some((lo.kmh() + hi.kmh()) / 2.0),
+                        "a baseline that never crosses is explained at the midpoint"
+                    );
+                }
+            }
+        }
+        assert!(never_crossed >= 2, "the starved baseline must be covered");
+    }
 
     fn search_reference(threads: usize) -> OptimizeReport {
         BreakEvenOptimizer::new(&Scenario::reference())

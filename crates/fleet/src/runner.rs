@@ -20,11 +20,11 @@ use serde::{Deserialize, Serialize};
 use crate::sim::FleetSpec;
 use crate::FleetError;
 
-/// Sweep resolution of the fleet's evaluation requests. Pinned — and
+/// Grid resolution of the fleet's evaluation requests. Pinned — and
 /// sent explicitly on both `breakeven` and `optimize` — so the served
-/// break-even and the optimizer's baseline come from the *same* sweep
-/// and agree bit-for-bit (the break-even interpolates between sweep
-/// samples, so mismatched step counts would disagree in the last ulps).
+/// break-even and the optimizer's baseline scan the *same* grid and
+/// agree bit-for-bit (the break-even interpolates between grid samples,
+/// so mismatched step counts would disagree in the last ulps).
 pub const FLEET_EVAL_STEPS: usize = 48;
 
 /// One fleet run: the spec plus run-shaping knobs that do not affect
@@ -37,7 +37,8 @@ pub struct FleetRun {
     /// report bytes — that is the golden-fleet invariant.
     pub threads: usize,
     /// Also run the break-even `optimize` search per vehicle. Off by
-    /// default: the candidate grid costs ~226 sweeps per vehicle.
+    /// default: each of the ~226 candidates per vehicle scans its grid
+    /// up to its crossing.
     pub optimize: bool,
 }
 

@@ -38,7 +38,7 @@ pub const MAX_INGEST_POINTS: usize = 4096;
 pub enum Op {
     /// Fig. 2 sweep returning the summary (break-even + point counts).
     Balance,
-    /// Fig. 2 sweep returning only the break-even speed.
+    /// Fig. 2 break-even speed alone, scanned up to the crossing.
     Breakeven,
     /// Fig. 2 sweep returning the full point series.
     Sweep,
@@ -685,9 +685,9 @@ impl Request {
             Op::Optimize => {
                 let from = p.from_kmh.unwrap_or(5.0);
                 let to = p.to_kmh.unwrap_or(200.0);
-                // Each of the ~226 candidates sweeps `steps` speeds, so
-                // the per-candidate grid is bounded much tighter than a
-                // plain sweep's.
+                // Each of the ~226 candidates scans up to `steps` speeds
+                // (stopping at its crossing), so the per-candidate grid
+                // is bounded much tighter than a plain sweep's.
                 let steps = p.steps.unwrap_or(48);
                 if !(from.is_finite() && to.is_finite() && from > 0.0 && to > from) {
                     return Err(format!("need 0 < from_kmh < to_kmh, got {from}..{to}"));

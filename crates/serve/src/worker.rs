@@ -715,7 +715,21 @@ fn run_op<C: Fn() -> bool + Sync>(
     }
     let p = &request.params;
     match request.op {
-        Op::Balance | Op::Breakeven | Op::Sweep => {
+        Op::Breakeven => {
+            // Only the crossing is reported, so scan up to it instead of
+            // sweeping the whole grid.
+            let lo = Speed::from_kmh(p.from_kmh.unwrap_or(5.0));
+            let hi = Speed::from_kmh(p.to_kmh.unwrap_or(200.0));
+            let steps = p.steps.unwrap_or(100);
+            let balance = EnergyBalance::with_cache(&cached.scenario, cached.cache.clone());
+            let Some(break_even) = balance.break_even(lo, hi, steps, executor, cancelled) else {
+                return Ok(None);
+            };
+            Ok(Some(Payload::Breakeven {
+                break_even_kmh: break_even.map(|s| s.kmh()),
+            }))
+        }
+        Op::Balance | Op::Sweep => {
             let lo = Speed::from_kmh(p.from_kmh.unwrap_or(5.0));
             let hi = Speed::from_kmh(p.to_kmh.unwrap_or(200.0));
             let steps = p.steps.unwrap_or(100);
@@ -725,7 +739,6 @@ fn run_op<C: Fn() -> bool + Sync>(
             };
             let break_even_kmh = report.break_even().map(|s| s.kmh());
             Ok(Some(match request.op {
-                Op::Breakeven => Payload::Breakeven { break_even_kmh },
                 Op::Sweep => Payload::Sweep {
                     report,
                     break_even_kmh,

@@ -5,7 +5,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use monityre_core::SweepExecutor;
 use monityre_serve::{evaluate, Client, ErrorCode, Op, Payload, Request, Response, ServerConfig};
@@ -107,6 +107,21 @@ fn slow_sweep(id: u64) -> Request {
     request
 }
 
+/// Polls the server's exposition until `serve_queue_depth` reads
+/// `depth`, failing after a generous bound instead of hanging.
+fn wait_for_queue_depth(handle: &monityre_serve::ServerHandle, depth: usize) {
+    let line = format!("monityre_serve_queue_depth {depth}");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !handle.prometheus_text().lines().any(|l| l == line) {
+        assert!(
+            Instant::now() < deadline,
+            "queue depth never reached {depth}:\n{}",
+            handle.prometheus_text()
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn full_queue_sheds_with_structured_queue_full() {
     let handle = ServerConfig {
@@ -119,11 +134,11 @@ fn full_queue_sheds_with_structured_queue_full() {
     .expect("bind loopback");
     let addr = handle.addr();
 
-    // Occupy the single worker, then the single queue slot.
+    // Occupy the single worker, then the single queue slot: one sweep
+    // runs while the other waits at the gate.
     let busy = fire_and_forget(addr, &slow_sweep(100));
-    thread::sleep(Duration::from_millis(150)); // worker picks up the job
     let queued = fire_and_forget(addr, &slow_sweep(101));
-    thread::sleep(Duration::from_millis(150)); // job reaches the queue
+    wait_for_queue_depth(&handle, 1);
 
     // A burst against the full queue: every extra request is shed
     // immediately with `queue_full` — no blocking, no panic.
