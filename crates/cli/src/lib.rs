@@ -440,54 +440,6 @@ mod tests {
         assert!(err.to_string().contains("hexadecimal"), "{err}");
     }
 
-    /// The acceptance path end to end: a fault-injected server, a pinned
-    /// `--trace` retrying request, a flight-recorder dump, and `obs trace`
-    /// reconstructing the causal tree — client attempts as siblings under
-    /// the logical call, server phases nested under the attempt that
-    /// carried them.
-    #[test]
-    fn obs_trace_reconstructs_a_request_tree_from_a_dump() {
-        let plan = monityre_faults::FaultPlan::parse("2011:conn_reset=0.5").expect("plan");
-        let handle = monityre_serve::ServerConfig {
-            faults: Some(std::sync::Arc::new(plan)),
-            ..Default::default()
-        }
-        .start()
-        .expect("bind loopback");
-        let addr = handle.addr();
-        let trace = "00000000000000a1:0000000000000001";
-        let out = run_line(&format!(
-            "request --addr {addr} --op breakeven --id 7 --steps 48 \
-             --retry --retry-attempts 12 --retry-seed 9 --trace {trace}"
-        ))
-        .unwrap();
-        assert!(out.contains("Breakeven"), "{out}");
-        handle.shutdown();
-
-        // Dump the in-process rings (client and server threads share them
-        // in this test binary) and reconstruct the tree from the file.
-        let dump =
-            std::env::temp_dir().join(format!("monityre-cli-dump-{}.jsonl", std::process::id()));
-        let mut bytes = Vec::new();
-        monityre_obs::recorder::dump_to(&mut bytes, "cli-test").expect("dump renders");
-        std::fs::write(&dump, bytes).expect("dump file written");
-
-        let tree = run_line(&format!(
-            "obs trace 00000000000000a1 --from {}",
-            dump.display()
-        ))
-        .unwrap();
-        assert!(tree.starts_with("trace 00000000000000a1"), "{tree}");
-        assert!(tree.contains("client.call"), "{tree}");
-        // The attempt nests under the logical call; the server phases nest
-        // under the attempt that carried them over the wire.
-        assert!(tree.contains("  └─ client.attempt"), "{tree}");
-        assert!(tree.contains("    └─ serve.queue_wait"), "{tree}");
-        assert!(tree.contains("    └─ serve.dedup"), "{tree}");
-        assert!(tree.contains("    └─ serve.execute"), "{tree}");
-        let _ = std::fs::remove_file(&dump);
-    }
-
     #[test]
     fn request_local_ingest_ops_round_trip() {
         let out = run_line("request --local --op ingest --ingest 8 --vehicle 3 --id 21").unwrap();

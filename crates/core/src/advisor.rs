@@ -288,17 +288,17 @@ impl<'a> OptimizationAdvisor<'a> {
     /// Propagates lookup/evaluation errors.
     pub fn optimize(&self, policy: SelectionPolicy) -> Result<NodeOptimization, CoreError> {
         let before = self.analyzer.required_per_round(self.design_speed)?;
-        let mut architecture = self.analyzer.architecture().clone();
+        let original = self.analyzer.architecture();
+        let mut architecture = original.clone();
         let mut recommendations = Vec::new();
 
-        let names: Vec<String> = architecture.block_names().map(str::to_owned).collect();
-        for name in names {
-            let rec = self.recommend(&name, policy)?;
-            let mut model = architecture.database().block(&name)?.clone();
+        for name in original.block_names() {
+            let rec = self.recommend(name, policy)?;
+            let mut model = original.database().block(name)?.clone();
             for technique in &rec.techniques {
                 model = technique.apply(&model);
             }
-            architecture = architecture.with_block_model(model)?;
+            architecture.replace_block_model(model)?;
             recommendations.push(rec);
         }
 

@@ -25,9 +25,10 @@ pub(crate) fn ensure_rolling(speed: Speed) -> Result<(), CoreError> {
 }
 
 /// One block's speed-independent figures under fixed conditions, and
-/// [`Self::energy`], the one place a block's per-round energy is computed.
-/// The analyzer borrows the block's name and schedule for one evaluation;
-/// [`crate::EvalCache`] keeps an owned copy ([`Self::into_owned`]).
+/// [`Self::breakdown`], the one place a block's per-round energy is
+/// computed. The analyzer borrows the block's name and schedule for one
+/// evaluation; [`crate::EvalCache`] keeps an owned copy
+/// ([`Self::into_owned`]).
 #[derive(Debug, Clone)]
 pub(crate) struct BlockFigures<'a> {
     name: Cow<'a, str>,
@@ -83,16 +84,17 @@ impl<'a> BlockFigures<'a> {
         }
     }
 
-    /// The block's energy over one round of `period`.
+    /// The block's energy over one round of `period`, split dynamic and
+    /// leakage — the walk itself, which allocates nothing.
     ///
     /// The average over the phase recurrence periods is taken: a phase
     /// running every N rounds contributes `1/N` of its energy to each
     /// round, with the rest mode covering that span in the other rounds.
-    pub(crate) fn energy(&self, period: Duration) -> BlockEnergy {
+    pub(crate) fn breakdown(&self, period: Duration) -> EnergyBreakdown {
         // Baseline: the whole round in the rest mode…
         let mut energy = self.rest_power.over(period);
         // …corrected by each phase's amortized delta over the rest mode.
-        for (phase, phase_power) in self.schedule.resolve(period).iter().zip(&self.phase_powers) {
+        for (phase, phase_power) in self.schedule.resolve(period).zip(&self.phase_powers) {
             let delta_dyn = phase_power.dynamic - self.rest_power.dynamic;
             let delta_leak = phase_power.leakage - self.rest_power.leakage;
             let share = phase.amortized_duration();
@@ -103,9 +105,15 @@ impl<'a> BlockFigures<'a> {
         for contribution in &self.event_contributions {
             energy.dynamic += *contribution;
         }
+        energy
+    }
+
+    /// [`Self::breakdown`] labelled with the block's name and duty cycle,
+    /// for the per-block reports.
+    pub(crate) fn energy(&self, period: Duration) -> BlockEnergy {
         BlockEnergy {
             name: self.name.as_ref().to_owned(),
-            energy,
+            energy: self.breakdown(period),
             duty_cycle: self.schedule.duty_cycle(period),
         }
     }

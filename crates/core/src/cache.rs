@@ -5,7 +5,8 @@
 //! every power lookup (`model.power(mode, conditions)`) and every
 //! workload event energy is speed-independent. [`EvalCache`] hoists those
 //! out of the per-point loop once per [`Scenario`], so a sweep point costs
-//! one `resolve()` walk instead of a full database traversal.
+//! one allocation-free walk over the lazily resolved phases of each block
+//! instead of a full database traversal.
 //!
 //! The hoisted figures are the analyzer's own per-block evaluator, built
 //! once per block instead of once per call, so cached and uncached
@@ -16,6 +17,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use monityre_power::EnergyBreakdown;
 use monityre_profile::Wheel;
 use monityre_units::{Duration, Energy, Power, Speed};
 use serde::{Deserialize, Serialize};
@@ -144,7 +146,8 @@ pub struct EvalCache {
     wheel: Wheel,
     blocks: Vec<BlockFigures<'static>>,
     /// Opt-in per-speed memo ([`Self::with_memo`]); `None` keeps the
-    /// sweep hot path allocation- and lock-free.
+    /// sweep hot path allocation- and lock-free (pinned by
+    /// `tests/cold_kernel_allocations.rs`).
     memo: Option<Arc<SpeedMemo>>,
 }
 
@@ -248,15 +251,28 @@ impl EvalCache {
     /// Returns [`CoreError::RoundUndefined`] at standstill.
     pub fn required_per_round(&self, speed: Speed) -> Result<Energy, CoreError> {
         let Some(memo) = &self.memo else {
-            return Ok(self.node_energy(speed)?.total().total());
+            return self.walk_total(speed);
         };
         let key = speed.mps().to_bits();
         if let Some(joules) = memo.get(key) {
             return Ok(Energy::from_joules(joules));
         }
-        let value = self.node_energy(speed)?.total().total();
+        let value = self.walk_total(speed)?;
         memo.insert(key, value.joules());
         Ok(value)
+    }
+
+    /// The per-block walk folded straight into the node total, in block
+    /// order — the fold [`NodeEnergy::total`] performs, without labelling
+    /// or collecting the blocks, so it allocates nothing.
+    fn walk_total(&self, speed: Speed) -> Result<Energy, CoreError> {
+        let period = self.round_period(speed)?;
+        Ok(self
+            .blocks
+            .iter()
+            .map(|figures| figures.breakdown(period))
+            .sum::<EnergyBreakdown>()
+            .total())
     }
 
     /// Average node power while rolling at `speed`.

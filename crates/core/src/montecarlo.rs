@@ -158,18 +158,19 @@ impl MonteCarlo {
     }
 
     /// Draws one manufactured instance of the architecture: every block's
-    /// leakage scaled log-normally, dynamic scaled normally.
+    /// leakage scaled log-normally, dynamic scaled normally. The nominal
+    /// architecture is copied once and varied in place, block by block.
     fn draw(&self, rng: &mut StdRng) -> Result<Architecture, CoreError> {
-        let mut arch = self.scenario.architecture().clone();
-        let names: Vec<String> = arch.block_names().map(str::to_owned).collect();
-        for name in names {
-            let model = arch.database().block(&name)?.clone();
+        let nominal = self.scenario.architecture();
+        let mut arch = nominal.clone();
+        for name in nominal.block_names() {
+            let model = nominal.database().block(name)?;
             let leak_factor = (standard_normal(rng) * self.variation.leakage_sigma).exp();
             let dyn_factor = (1.0 + standard_normal(rng) * self.variation.dynamic_sigma).max(0.5);
             let varied = model
                 .with_leakage(model.leakage().scaled(leak_factor))
                 .with_dynamic(model.dynamic().scaled(dyn_factor));
-            arch = arch.with_block_model(varied)?;
+            arch.replace_block_model(varied)?;
         }
         Ok(arch)
     }

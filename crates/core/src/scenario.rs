@@ -6,7 +6,8 @@
 //! [`Scenario`] bundles them once, immutably, so the energy balance, the
 //! Monte Carlo runner, the vehicle emulator, the governor and the flow all
 //! consume one value instead of plumbing the tuple by hand — and so sweep
-//! workers can share the chain cheaply through an [`Arc`].
+//! workers share the architecture and the chain through an [`Arc`]: a
+//! clone is a few reference-count bumps, never a deep copy.
 
 use std::sync::Arc;
 
@@ -32,7 +33,7 @@ use crate::{CoreError, EnergyAnalyzer, EvalCache, ScenarioExtras};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    architecture: Architecture,
+    architecture: Arc<Architecture>,
     conditions: WorkingConditions,
     chain: Arc<HarvestChain>,
     wheel: Wheel,
@@ -115,7 +116,7 @@ impl Scenario {
     #[must_use]
     pub fn with_architecture(&self, architecture: Architecture) -> Self {
         Self {
-            architecture,
+            architecture: Arc::new(architecture),
             conditions: self.conditions,
             chain: Arc::clone(&self.chain),
             wheel: self.wheel,
@@ -127,7 +128,7 @@ impl Scenario {
     #[must_use]
     pub fn with_conditions(&self, conditions: WorkingConditions) -> Self {
         Self {
-            architecture: self.architecture.clone(),
+            architecture: Arc::clone(&self.architecture),
             conditions,
             chain: Arc::clone(&self.chain),
             wheel: self.wheel,
@@ -213,7 +214,7 @@ impl ScenarioBuilder {
             .unwrap_or_else(|| Arc::new(HarvestChain::reference()));
         let wheel = self.wheel.unwrap_or(*chain.wheel());
         Scenario {
-            architecture: self.architecture.unwrap_or_else(Architecture::reference),
+            architecture: Arc::new(self.architecture.unwrap_or_else(Architecture::reference)),
             conditions: self.conditions.unwrap_or_else(WorkingConditions::reference),
             chain,
             wheel,
@@ -261,6 +262,14 @@ mod tests {
             WorkingConditions::reference().with_temperature(Temperature::from_celsius(0.0)),
         );
         assert!(Arc::ptr_eq(&scenario.chain_arc(), &derived.chain_arc()));
+        assert!(std::ptr::eq(
+            scenario.architecture(),
+            derived.architecture()
+        ));
+        assert!(std::ptr::eq(
+            scenario.architecture(),
+            scenario.clone().architecture()
+        ));
         let rearch = scenario.with_architecture(Architecture::reference());
         assert!(Arc::ptr_eq(&scenario.chain_arc(), &rearch.chain_arc()));
     }

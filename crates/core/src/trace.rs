@@ -92,11 +92,10 @@ impl InstantTrace {
         for name in arch.block_names() {
             let plan = arch.plan(name)?;
             let model = arch.database().block(name)?.clone();
-            let resolved = plan.schedule().resolve(period);
             let mut offset = 0.0;
-            let mut phases = Vec::with_capacity(resolved.len());
+            let mut phases = Vec::with_capacity(plan.schedule().phases().len());
             let mut clocked_amortized = 0.0;
-            for phase in &resolved {
+            for phase in plan.schedule().resolve(period) {
                 let start = offset;
                 let end = offset + phase.duration.secs();
                 phases.push((start, end, phase.mode, phase.period_rounds));

@@ -1,0 +1,159 @@
+//! Whole-curve golden pins. The reference break-even pin only sees the
+//! two samples around the crossing; these hash the bits of entire
+//! curves, Monte Carlo draws and an optimizer report, so any change that
+//! reorders a float operation or an RNG draw anywhere on them — a
+//! structure-of-arrays kernel, a fused multiply-add, a different draw
+//! loop — fails here even when the crossing survives.
+//!
+//! Each constant is an FNV-1a 64 hash over little-endian `f64`/`u64`
+//! bits, recorded before the allocation-free kernel landed. A mismatch
+//! means the numbers moved: find out why before re-recording.
+
+use monityre_core::{
+    BreakEvenOptimizer, EnergyBalance, MonteCarlo, RadioLink, Scenario, ScenarioExtras,
+    StorageAgeing, SweepExecutor, VariationModel,
+};
+use monityre_node::NodeConfig;
+use monityre_power::WorkingConditions;
+use monityre_units::{Speed, Temperature};
+
+/// FNV-1a 64 over a stream of 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+
+    fn float(&mut self, value: f64) {
+        self.word(value.to_bits());
+    }
+}
+
+/// The hash of every sample of `sweep(lo, hi, steps)`: speed, generated
+/// and required bits, in grid order.
+fn curve_hash(scenario: &Scenario, lo_kmh: f64, hi_kmh: f64, steps: usize) -> u64 {
+    let report = EnergyBalance::new(scenario)
+        .expect("scenario builds")
+        .sweep(Speed::from_kmh(lo_kmh), Speed::from_kmh(hi_kmh), steps);
+    let mut hash = Fnv::new();
+    for point in report.points() {
+        hash.float(point.speed.mps());
+        hash.float(point.generated.joules());
+        hash.float(point.required.joules());
+    }
+    hash.0
+}
+
+/// Radio retransmission and storage ageing together, at the reference
+/// temperature.
+fn both_axes() -> Scenario {
+    Scenario::builder()
+        .extras(
+            ScenarioExtras::none()
+                .with_radio(RadioLink::new(0.2, 3))
+                .with_ageing(StorageAgeing::new(6.0)),
+        )
+        .build()
+}
+
+/// A hot tyre, a node transmitting every round and aged storage.
+fn hot_aged_dense_radio() -> Scenario {
+    Scenario::builder()
+        .config(NodeConfig::reference().with_tx_period_rounds(1))
+        .conditions(
+            WorkingConditions::reference().with_temperature(Temperature::from_celsius(85.0)),
+        )
+        .extras(ScenarioExtras::none().with_ageing(StorageAgeing::new(10.0)))
+        .build()
+}
+
+/// Fails with both hashes in hex, so a re-recording reads them off.
+fn assert_pinned(what: &str, actual: u64, pinned: u64) {
+    assert!(
+        actual == pinned,
+        "{what}: hash {actual:#018x}, pinned {pinned:#018x}"
+    );
+}
+
+#[test]
+fn reference_fig2_curve_is_pinned() {
+    assert_pinned(
+        "reference 5-200 km/h x 196",
+        curve_hash(&Scenario::reference(), 5.0, 200.0, 196),
+        0x3c91_57f2_a944_534d,
+    );
+}
+
+#[test]
+fn axis_scenario_curves_are_pinned() {
+    assert_pinned(
+        "radio + ageing 5-200 km/h x 196",
+        curve_hash(&both_axes(), 5.0, 200.0, 196),
+        0x9011_594d_c4cf_bd54,
+    );
+    assert_pinned(
+        "hot, dense radio, aged 5-200 km/h x 196",
+        curve_hash(&hot_aged_dense_radio(), 5.0, 200.0, 196),
+        0xe280_275c_4050_d71c,
+    );
+}
+
+/// Above about 1390 km/h a reference wheel round (1.93 m) is shorter than
+/// the DSP's fixed 5 ms kernel, and above about 8700 km/h shorter than
+/// the radio's 0.8 ms burst, so `resolve` truncates the fixed spans: this
+/// grid walks from the untruncated regime through both clipped ones.
+#[test]
+fn truncation_regime_curve_is_pinned() {
+    assert_pinned(
+        "reference 800-12000 km/h x 97",
+        curve_hash(&Scenario::reference(), 800.0, 12000.0, 97),
+        0xa704_d289_ba45_f717,
+    );
+}
+
+#[test]
+fn monte_carlo_draws_are_pinned() {
+    let distribution = MonteCarlo::new(&Scenario::reference(), VariationModel::reference(), 42)
+        .break_even_distribution(64)
+        .expect("reference draws cross");
+    let mut hash = Fnv::new();
+    for sample in distribution.samples() {
+        hash.float(sample.mps());
+    }
+    hash.word(distribution.never_crossed() as u64);
+    assert_pinned("Monte Carlo seed 42 x 64", hash.0, 0xe5e8_b29b_3e91_2f95);
+}
+
+#[test]
+fn reference_optimize_report_is_pinned() {
+    let report = BreakEvenOptimizer::new(&Scenario::reference())
+        .search(
+            Speed::from_kmh(5.0),
+            Speed::from_kmh(200.0),
+            48,
+            &SweepExecutor::serial(),
+            &|| false,
+        )
+        .expect("reference search evaluates")
+        .expect("a never-cancelled search completes");
+    let json = serde_json::to_string(&report).expect("report serializes");
+    let mut hash = Fnv::new();
+    hash.bytes(json.as_bytes());
+    assert_pinned(
+        "reference OptimizeReport JSON",
+        hash.0,
+        0xc91c_11b3_4712_6739,
+    );
+}

@@ -339,8 +339,20 @@ impl Architecture {
     /// Returns [`NodeError::Power`] when the block does not exist.
     pub fn with_block_model(&self, model: BlockPowerModel) -> Result<Self, NodeError> {
         let mut copy = self.clone();
-        copy.database.replace(model)?;
+        copy.replace_block_model(model)?;
         Ok(copy)
+    }
+
+    /// Replaces one block's power model in place, bumping its revision
+    /// like [`Self::with_block_model`] — for loops that vary every block
+    /// of one owned copy instead of cloning the architecture per block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NodeError::Power`] when the block does not exist.
+    pub fn replace_block_model(&mut self, model: BlockPowerModel) -> Result<(), NodeError> {
+        self.database.replace(model)?;
+        Ok(())
     }
 
     /// Returns a copy with one block's plan replaced (e.g. a rescheduled
@@ -523,6 +535,20 @@ mod tests {
     }
 
     #[test]
+    fn replace_block_model_bumps_revision_in_place() {
+        let mut arch = Architecture::reference();
+        let dsp = arch.database().block("dsp").unwrap().clone();
+        let scaled = dsp.with_leakage(dsp.leakage().scaled(0.2));
+        let copied = arch.with_block_model(scaled.clone()).unwrap();
+        arch.replace_block_model(scaled).unwrap();
+        assert_eq!(arch, copied);
+        assert_eq!(arch.database().record("dsp").unwrap().revision(), 2);
+        assert!(arch
+            .replace_block_model(BlockPowerModel::builder("gpu").build())
+            .is_err());
+    }
+
+    #[test]
     fn with_plan_rejects_unknown() {
         let arch = Architecture::reference();
         let plan = arch.plan("dsp").unwrap().clone();
@@ -556,7 +582,10 @@ mod tests {
     fn dsp_compute_window_fixed_duration() {
         let arch = Architecture::reference();
         let plan = arch.plan("dsp").unwrap();
-        let resolved = plan.schedule().resolve(Duration::from_millis(100.0));
+        let resolved: Vec<_> = plan
+            .schedule()
+            .resolve(Duration::from_millis(100.0))
+            .collect();
         assert_eq!(resolved.len(), 1);
         assert!(resolved[0]
             .duration

@@ -31,7 +31,7 @@
 //! let arch = Architecture::reference();
 //! assert!(arch.block_names().count() >= 6);
 //! let plan = arch.plan("radio").unwrap();
-//! let phases = plan.schedule().resolve(Duration::from_millis(114.0));
+//! let phases: Vec<_> = plan.schedule().resolve(Duration::from_millis(114.0)).collect();
 //! assert!(!phases.is_empty());
 //! ```
 

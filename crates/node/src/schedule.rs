@@ -191,34 +191,32 @@ impl RoundSchedule {
         self.rest_mode
     }
 
-    /// Resolves the phases against a concrete round period.
+    /// Resolves the phases against a concrete round period, lazily and in
+    /// order, so a per-point walk never allocates.
     ///
     /// Fixed spans are truncated greedily, in order, when their cumulative
     /// duration would exceed the round (the high-speed regime where a
     /// round is shorter than the node's fixed work — real firmware skips
     /// work there, and truncation models that degradation).
-    #[must_use]
-    pub fn resolve(&self, period: Duration) -> Vec<ResolvedPhase> {
+    pub fn resolve(&self, period: Duration) -> impl Iterator<Item = ResolvedPhase> + '_ {
         let mut remaining = period;
         let mut fraction_budget = period;
-        let mut resolved = Vec::with_capacity(self.phases.len());
-        for phase in &self.phases {
+        self.phases.iter().map(move |phase| {
             let want = match phase.span {
                 Span::Fixed(_) => phase.span.resolve(period),
                 Span::Fraction(_) => phase.span.resolve(fraction_budget.max(Duration::ZERO)),
             };
             let take = want.min(remaining.max(Duration::ZERO));
-            resolved.push(ResolvedPhase {
-                mode: phase.mode,
-                duration: take,
-                period_rounds: phase.period_rounds,
-            });
             remaining -= take;
             if let Span::Fixed(_) = phase.span {
                 fraction_budget -= take;
             }
-        }
-        resolved
+            ResolvedPhase {
+                mode: phase.mode,
+                duration: take,
+                period_rounds: phase.period_rounds,
+            }
+        })
     }
 
     /// The rest-of-round duration once every *amortized* phase share is
@@ -227,8 +225,7 @@ impl RoundSchedule {
     pub fn rest_duration(&self, period: Duration) -> Duration {
         let scheduled: Duration = self
             .resolve(period)
-            .iter()
-            .map(ResolvedPhase::amortized_duration)
+            .map(|phase| phase.amortized_duration())
             .sum();
         (period - scheduled).max(Duration::ZERO)
     }
@@ -276,8 +273,8 @@ mod tests {
             OperatingMode::Sleep,
         )
         .unwrap();
-        let slow = s.resolve(ms(200.0));
-        let fast = s.resolve(ms(40.0));
+        let slow: Vec<_> = s.resolve(ms(200.0)).collect();
+        let fast: Vec<_> = s.resolve(ms(40.0)).collect();
         assert!(slow[0].duration.approx_eq(ms(50.0), 1e-12));
         assert!(fast[0].duration.approx_eq(ms(10.0), 1e-12));
     }
@@ -292,10 +289,11 @@ mod tests {
             OperatingMode::Off,
         )
         .unwrap();
-        assert!(s.resolve(ms(100.0))[0].duration.approx_eq(ms(2.0), 1e-12));
-        assert!(s.resolve(ms(10.0))[0].duration.approx_eq(ms(2.0), 1e-12));
+        let first = |period| s.resolve(period).next().unwrap().duration;
+        assert!(first(ms(100.0)).approx_eq(ms(2.0), 1e-12));
+        assert!(first(ms(10.0)).approx_eq(ms(2.0), 1e-12));
         // Round shorter than the phase: truncated.
-        assert!(s.resolve(ms(1.0))[0].duration.approx_eq(ms(1.0), 1e-12));
+        assert!(first(ms(1.0)).approx_eq(ms(1.0), 1e-12));
     }
 
     #[test]
@@ -308,7 +306,7 @@ mod tests {
             OperatingMode::Sleep,
         )
         .unwrap();
-        let resolved = s.resolve(ms(8.0));
+        let resolved: Vec<_> = s.resolve(ms(8.0)).collect();
         assert!(resolved[0].duration.approx_eq(ms(6.0), 1e-12));
         assert!(resolved[1].duration.approx_eq(ms(2.0), 1e-12));
     }

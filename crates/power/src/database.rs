@@ -156,14 +156,13 @@ impl PowerDatabase {
     /// Returns [`PowerError::UnknownBlock`] when no block with that name
     /// exists.
     pub fn replace(&mut self, model: BlockPowerModel) -> Result<(), PowerError> {
-        let name = model.name().to_owned();
-        match self.blocks.get_mut(&name) {
+        match self.blocks.get_mut(model.name()) {
             Some(record) => {
                 record.revision += 1;
                 record.model = model;
                 Ok(())
             }
-            None => Err(PowerError::unknown_block(&name)),
+            None => Err(PowerError::unknown_block(model.name())),
         }
     }
 
