@@ -1,14 +1,13 @@
 //! Criterion bench: optimization advisor search (EXP-OPT workload).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use monityre_bench::{analyzer_for, reference_fixture};
+use monityre_bench::reference_scenario;
 use monityre_core::{OptimizationAdvisor, SelectionPolicy};
 use monityre_units::Speed;
 
 fn bench_advisor(c: &mut Criterion) {
-    let (arch, cond, chain) = reference_fixture();
-    let analyzer = analyzer_for(&arch, cond, &chain);
-    let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+    let advisor =
+        OptimizationAdvisor::new(&reference_scenario(), Speed::from_kmh(30.0)).expect("builds");
 
     let mut group = c.benchmark_group("advisor");
     group.bench_function("recommend_block", |b| {

@@ -2,14 +2,14 @@
 //! workloads).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use monityre_bench::{analyzer_for, reference_fixture};
+use monityre_bench::reference_scenario;
 use monityre_core::{EmulatorConfig, InstantTrace, TransientEmulator};
 use monityre_harvest::Supercap;
 use monityre_profile::UrbanCycle;
 use monityre_units::{Duration, Speed};
 
 fn bench_emulator(c: &mut Criterion) {
-    let (arch, cond, chain) = reference_fixture();
+    let scenario = reference_scenario();
 
     let mut group = c.benchmark_group("emulator");
     for step_ms in [50.0f64, 10.0] {
@@ -19,8 +19,7 @@ fn bench_emulator(c: &mut Criterion) {
             |b, &step_ms| {
                 let mut config = EmulatorConfig::new();
                 config.step = Duration::from_millis(step_ms);
-                let emulator =
-                    TransientEmulator::new(&arch, &chain, cond, config).expect("configures");
+                let emulator = TransientEmulator::new(&scenario, config).expect("configures");
                 let cycle = UrbanCycle::new();
                 b.iter(|| {
                     let mut storage = Supercap::reference();
@@ -30,12 +29,11 @@ fn bench_emulator(c: &mut Criterion) {
         );
     }
 
-    let analyzer = analyzer_for(&arch, cond, &chain);
     group.bench_function("instant_trace_500ms", |b| {
         b.iter(|| {
             std::hint::black_box(
                 InstantTrace::generate(
-                    &analyzer,
+                    &scenario,
                     Speed::from_kmh(60.0),
                     Duration::from_millis(500.0),
                     Duration::from_micros(100.0),

@@ -5,9 +5,9 @@
 
 use monityre_bench::{expect, header, parse_args};
 use monityre_core::report::Table;
-use monityre_core::{EnergyAnalyzer, LifetimeEstimator, UsagePattern};
+use monityre_core::{LifetimeEstimator, Scenario, UsagePattern};
 use monityre_harvest::{HarvestChain, IdealBattery, PiezoScavenger, Regulator};
-use monityre_node::{Architecture, NodeConfig};
+use monityre_node::NodeConfig;
 use monityre_power::WorkingConditions;
 use monityre_profile::Wheel;
 use monityre_units::Temperature;
@@ -54,9 +54,12 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in &cases {
-        let arch = Architecture::from_config(case.config);
-        let analyzer = EnergyAnalyzer::new(&arch, cond).with_wheel(*chain.wheel());
-        let estimator = LifetimeEstimator::new(&analyzer, &chain);
+        let scenario = Scenario::builder()
+            .config(case.config)
+            .conditions(cond)
+            .chain(chain.clone())
+            .build();
+        let estimator = LifetimeEstimator::new(&scenario).expect("scenario evaluates");
         let report = estimator
             .compare(pattern, IdealBattery::coin_cell_in_tyre())
             .expect("comparison runs");

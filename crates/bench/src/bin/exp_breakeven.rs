@@ -23,8 +23,8 @@ fn main() {
 
     let scenario = reference_scenario();
     let executor = SweepExecutor::new(BENCH_THREADS);
-    let analyzer = scenario.analyzer();
-    let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+    let advisor =
+        OptimizationAdvisor::new(&scenario, Speed::from_kmh(30.0)).expect("scenario evaluates");
 
     let baseline = break_even_of(&scenario, &executor).expect("baseline crosses");
     let naive = advisor.optimize(SelectionPolicy::PowerFigures).unwrap();

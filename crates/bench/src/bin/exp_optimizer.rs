@@ -12,8 +12,8 @@ fn main() {
     header("EXP-OPT", "duty-cycle-aware vs naive optimization");
 
     let scenario = reference_scenario();
-    let analyzer = scenario.analyzer();
-    let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+    let advisor =
+        OptimizationAdvisor::new(&scenario, Speed::from_kmh(30.0)).expect("scenario evaluates");
 
     let naive = advisor
         .optimize(SelectionPolicy::PowerFigures)

@@ -2,7 +2,7 @@
 //! the emulator: reservoir capacitance and activation-hysteresis window
 //! vs coverage and brownouts over the NEDC-like trip.
 
-use monityre_bench::{expect, header, parse_args, reference_fixture};
+use monityre_bench::{expect, header, parse_args, reference_scenario};
 use monityre_core::report::Table;
 use monityre_core::{EmulatorConfig, TransientEmulator};
 use monityre_harvest::Supercap;
@@ -30,13 +30,13 @@ fn main() {
     let options = parse_args();
     header("EXP-STORAGE", "reservoir size and hysteresis vs coverage");
 
-    let (arch, cond, chain) = reference_fixture();
+    let scenario = reference_scenario();
 
     // Sweep 1: capacitance at the default hysteresis.
     let mut cap_rows = Vec::new();
     for mf in [2.0, 5.0, 10.0, 22.0, 47.0, 100.0] {
-        let emulator = TransientEmulator::new(&arch, &chain, cond, EmulatorConfig::new())
-            .expect("emulator configures");
+        let emulator =
+            TransientEmulator::new(&scenario, EmulatorConfig::new()).expect("emulator configures");
         let mut storage = reservoir(mf);
         let report = emulator.run(&trip(), &mut storage);
         cap_rows.push((
@@ -59,8 +59,7 @@ fn main() {
         let mut config = EmulatorConfig::new();
         config.activate_soc = on;
         config.deactivate_soc = off;
-        let emulator =
-            TransientEmulator::new(&arch, &chain, cond, config).expect("emulator configures");
+        let emulator = TransientEmulator::new(&scenario, config).expect("emulator configures");
         let mut storage = reservoir(10.0);
         let report = emulator.run(&trip(), &mut storage);
         hyst_rows.push((

@@ -2,7 +2,7 @@
 //! identifying operating windows of the conceived monitoring system".
 //! NEDC-like trip: four urban cycles + one extra-urban segment.
 
-use monityre_bench::{expect, header, parse_args, reference_fixture};
+use monityre_bench::{expect, header, parse_args, reference_scenario};
 use monityre_core::report::{ascii_chart, Series, Table};
 use monityre_core::{EmulatorConfig, TransientEmulator};
 use monityre_harvest::Supercap;
@@ -13,7 +13,7 @@ fn main() {
     let options = parse_args();
     header("EXP-WINDOW", "operating windows over an NEDC-like trip");
 
-    let (arch, cond, chain) = reference_fixture();
+    let scenario = reference_scenario();
     let trip = CompositeProfile::new(vec![
         Box::new(RepeatProfile::new(UrbanCycle::new(), 4)),
         Box::new(ExtraUrbanCycle::new()),
@@ -28,8 +28,8 @@ fn main() {
         Voltage::from_volts(2.4),
     );
 
-    let emulator = TransientEmulator::new(&arch, &chain, cond, EmulatorConfig::new())
-        .expect("emulator configures");
+    let emulator =
+        TransientEmulator::new(&scenario, EmulatorConfig::new()).expect("emulator configures");
     let report = emulator.run(&trip, &mut storage);
 
     if options.check {

@@ -2,23 +2,27 @@
 //! energy consumption of the Sensor Node under different working and
 //! operating conditions." The generated energy workbook (the evaluation
 //! carried entirely by live spreadsheet formulas) versus the Rust
-//! analyzer: exact equivalence across the speed range, plus the
+//! evaluator: exact equivalence across the speed range, plus the
 //! incremental-recompute cost of a speed edit.
 
-use monityre_bench::{expect, header, parse_args, reference_fixture};
+use monityre_bench::{expect, header, parse_args, reference_scenario};
 use monityre_core::report::Table;
-use monityre_core::{EnergyAnalyzer, EnergyWorkbook};
+use monityre_core::EnergyWorkbook;
 use monityre_units::Speed;
 
 fn main() {
     let options = parse_args();
     header("EXP-WORKBOOK", "the spreadsheet as the evaluation tool");
 
-    let (arch, cond, chain) = reference_fixture();
-    let wheel = *chain.wheel();
-    let analyzer = EnergyAnalyzer::new(&arch, cond).with_wheel(wheel);
-    let mut workbook =
-        EnergyWorkbook::build(&arch, cond, &wheel, Speed::from_kmh(60.0)).expect("workbook builds");
+    let scenario = reference_scenario();
+    let cache = scenario.cache().expect("scenario evaluates");
+    let mut workbook = EnergyWorkbook::build(
+        scenario.architecture(),
+        scenario.conditions(),
+        scenario.wheel(),
+        Speed::from_kmh(60.0),
+    )
+    .expect("workbook builds");
 
     let speeds = [10.0, 20.0, 34.5, 60.0, 90.0, 130.0, 200.0];
     let mut rows = Vec::new();
@@ -28,7 +32,7 @@ fn main() {
             .set_speed(Speed::from_kmh(kmh))
             .expect("valid speed");
         let sheet_uj = workbook.node_energy().unwrap().microjoules();
-        let rust_uj = analyzer
+        let rust_uj = cache
             .required_per_round(Speed::from_kmh(kmh))
             .unwrap()
             .microjoules();

@@ -12,10 +12,9 @@ fn main() {
     header("FIG3", "instant power in a limited timing window (Fig. 3)");
 
     let scenario = reference_scenario();
-    let analyzer = scenario.analyzer();
     let speed = Speed::from_kmh(60.0);
     let trace = InstantTrace::generate(
-        &analyzer,
+        &scenario,
         speed,
         Duration::from_millis(500.0),
         Duration::from_micros(100.0),

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use monityre_core::{EnergyAnalyzer, Scenario, SweepExecutor};
+use monityre_core::{Scenario, SweepExecutor};
 use monityre_harvest::HarvestChain;
 use monityre_node::Architecture;
 use monityre_power::WorkingConditions;
@@ -67,16 +67,6 @@ pub fn reference_fixture() -> (Architecture, WorkingConditions, HarvestChain) {
 #[must_use]
 pub fn reference_scenario() -> Scenario {
     Scenario::reference()
-}
-
-/// Builds an analyzer over borrowed fixture parts.
-#[must_use]
-pub fn analyzer_for<'a>(
-    architecture: &'a Architecture,
-    conditions: WorkingConditions,
-    chain: &HarvestChain,
-) -> EnergyAnalyzer<'a> {
-    EnergyAnalyzer::new(architecture, conditions).with_wheel(*chain.wheel())
 }
 
 /// Prints the standard experiment header.
@@ -648,9 +638,8 @@ mod tests {
 
     #[test]
     fn fixture_is_consistent() {
-        let (arch, cond, chain) = reference_fixture();
-        let analyzer = analyzer_for(&arch, cond, &chain);
-        assert_eq!(analyzer.wheel(), chain.wheel());
+        let (arch, _, chain) = reference_fixture();
+        assert_eq!(chain.wheel(), reference_scenario().wheel());
         assert_eq!(arch.len(), 6);
     }
 

@@ -4,9 +4,9 @@ use std::fmt::Write as _;
 
 use monityre_core::report::{ascii_chart, Series, Table};
 use monityre_core::{
-    EmulatorConfig, EnergyAnalyzer, EnergyBalance, Flow, InstantTrace, LifetimeEstimator,
-    MonteCarlo, OptimizationAdvisor, Scenario, SelectionPolicy, SweepExecutor, TransientEmulator,
-    UsagePattern, VariationModel, VehicleEmulator,
+    EmulatorConfig, EnergyBalance, Flow, InstantTrace, LifetimeEstimator, MonteCarlo,
+    OptimizationAdvisor, Scenario, SelectionPolicy, SweepExecutor, TransientEmulator, UsagePattern,
+    VariationModel, VehicleEmulator,
 };
 use monityre_harvest::{IdealBattery, Supercap};
 use monityre_node::Architecture;
@@ -130,10 +130,8 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
     let conditions = args.conditions()?;
     args.finish()?;
 
-    let architecture = Architecture::reference();
-    let analyzer = EnergyAnalyzer::new(&architecture, conditions);
     let trace = InstantTrace::generate(
-        &analyzer,
+        &scenario_for(conditions),
         Speed::from_kmh(speed),
         Duration::from_millis(window_ms),
         Duration::from_micros(step_us),
@@ -189,13 +187,7 @@ pub(crate) fn emulate(args: &Args) -> Result<String, CliError> {
 
     let cycle = build_cycle(&cycle_name, repeat)?;
     let scenario = scenario_for(conditions);
-    let emulator = TransientEmulator::new(
-        scenario.architecture(),
-        scenario.chain(),
-        scenario.conditions(),
-        EmulatorConfig::new(),
-    )
-    .map_err(eval_error)?;
+    let emulator = TransientEmulator::new(&scenario, EmulatorConfig::new()).map_err(eval_error)?;
     let mut storage = Supercap::new(
         Capacitance::from_millifarads(cap_mf),
         Voltage::from_volts(1.8),
@@ -254,8 +246,8 @@ pub(crate) fn optimize(args: &Args) -> Result<String, CliError> {
     };
 
     let scenario = scenario_for(conditions);
-    let analyzer = scenario.analyzer();
-    let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(speed));
+    let advisor =
+        OptimizationAdvisor::new(&scenario, Speed::from_kmh(speed)).map_err(eval_error)?;
     let outcome = advisor.optimize(policy).map_err(eval_error)?;
 
     let mut out = String::new();
@@ -335,8 +327,7 @@ pub(crate) fn lifetime(args: &Args) -> Result<String, CliError> {
     args.finish()?;
 
     let scenario = scenario_for(conditions);
-    let analyzer = scenario.analyzer();
-    let estimator = LifetimeEstimator::new(&analyzer, scenario.chain());
+    let estimator = LifetimeEstimator::new(&scenario).map_err(eval_error)?;
     let pattern = UsagePattern {
         daily_driving: Duration::from_hours(hours),
         mean_speed: Speed::from_kmh(kmh),

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use monityre_faults::FaultPlan;
 use monityre_serve::{
-    evaluate, Client, Op, Payload, Request, Response, RetryPolicy, RetryingClient, ServerConfig,
-    TraceContext,
+    evaluate, Client, Op, Payload, Request, Response, RetryPolicy, RetryingClient, ScenarioSpec,
+    ServerConfig, TraceContext,
 };
 
 use crate::commands::executor_from;
@@ -33,6 +33,27 @@ pub(crate) fn parse_opt<T: std::str::FromStr>(
             .map(Some)
             .map_err(|_| CliError::new(format!("flag --{name}: cannot parse `{raw}`"))),
     }
+}
+
+/// Parses the scenario flags `explain` and `request` share into a wire
+/// scenario. Besides the node and conditions knobs, these set the
+/// extended axes: a lossy radio (`--radio-loss`, with an optional
+/// `--radio-retries` budget) and an aged supercap (`--age-years`). Absent
+/// flags keep their fields off the wire entirely, so warm scenario-cache
+/// keys stay byte-identical.
+fn scenario_spec(args: &Args) -> Result<ScenarioSpec, CliError> {
+    Ok(ScenarioSpec {
+        temp_c: parse_opt(args, "temp")?,
+        supply_v: parse_opt(args, "supply")?,
+        corner: args.text_opt("corner"),
+        samples_per_round: parse_opt(args, "samples-per-round")?,
+        tx_period_rounds: parse_opt(args, "tx-period")?,
+        payload_bytes: parse_opt(args, "payload-bytes")?,
+        chain_scale: parse_opt(args, "chain-scale")?,
+        radio_loss_prob: parse_opt(args, "radio-loss")?,
+        radio_retries: parse_opt(args, "radio-retries")?,
+        age_years: parse_opt(args, "age-years")?,
+    })
 }
 
 /// `monityre serve` — run the evaluation server on `--bind`/`--port`
@@ -714,16 +735,7 @@ pub(crate) fn explain(args: &Args) -> Result<String, CliError> {
     let _ = args.flag("table"); // the default rendering, accepted for symmetry
     let executor = executor_from(args)?;
     let mut request = Request::new(Op::Explain);
-    request.scenario.temp_c = parse_opt(args, "temp")?;
-    request.scenario.supply_v = parse_opt(args, "supply")?;
-    request.scenario.corner = args.text_opt("corner");
-    request.scenario.samples_per_round = parse_opt(args, "samples-per-round")?;
-    request.scenario.tx_period_rounds = parse_opt(args, "tx-period")?;
-    request.scenario.payload_bytes = parse_opt(args, "payload-bytes")?;
-    request.scenario.chain_scale = parse_opt(args, "chain-scale")?;
-    request.scenario.radio_loss_prob = parse_opt(args, "radio-loss")?;
-    request.scenario.radio_retries = parse_opt(args, "radio-retries")?;
-    request.scenario.age_years = parse_opt(args, "age-years")?;
+    request.scenario = scenario_spec(args)?;
     request.params.speed_kmh = Some(speed);
     args.finish()?;
 
@@ -851,20 +863,7 @@ pub(crate) fn request(args: &Args) -> Result<String, CliError> {
     request.id = parse_opt(args, "id")?;
     request.deadline_ms = parse_opt(args, "deadline-ms")?;
     request.idem = parse_opt(args, "idem")?;
-    request.scenario.temp_c = parse_opt(args, "temp")?;
-    request.scenario.supply_v = parse_opt(args, "supply")?;
-    request.scenario.corner = args.text_opt("corner");
-    request.scenario.samples_per_round = parse_opt(args, "samples-per-round")?;
-    request.scenario.tx_period_rounds = parse_opt(args, "tx-period")?;
-    request.scenario.payload_bytes = parse_opt(args, "payload-bytes")?;
-    request.scenario.chain_scale = parse_opt(args, "chain-scale")?;
-    // The extended scenario axes: a lossy radio (`--radio-loss`, with an
-    // optional `--radio-retries` budget) and an aged supercap
-    // (`--age-years`). Absent flags keep the axes off the wire entirely,
-    // so warm scenario-cache keys stay byte-identical.
-    request.scenario.radio_loss_prob = parse_opt(args, "radio-loss")?;
-    request.scenario.radio_retries = parse_opt(args, "radio-retries")?;
-    request.scenario.age_years = parse_opt(args, "age-years")?;
+    request.scenario = scenario_spec(args)?;
     request.params.from_kmh = parse_opt(args, "from")?;
     request.params.to_kmh = parse_opt(args, "to")?;
     request.params.steps = parse_opt(args, "steps")?;

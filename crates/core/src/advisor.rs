@@ -26,7 +26,7 @@ use monityre_node::Architecture;
 use monityre_power::{BlockPowerModel, ModePolicy, OperatingMode};
 use monityre_units::{Energy, Speed};
 
-use crate::{CoreError, EnergyAnalyzer};
+use crate::{CoreError, EvalCache, Scenario};
 
 /// An optimization technique with its effect model.
 ///
@@ -181,32 +181,34 @@ const SHARE_THRESHOLD: f64 = 0.25;
 /// architecture.
 ///
 /// ```
-/// use monityre_core::{EnergyAnalyzer, OptimizationAdvisor, SelectionPolicy};
-/// use monityre_node::Architecture;
-/// use monityre_power::WorkingConditions;
+/// use monityre_core::{OptimizationAdvisor, Scenario, SelectionPolicy};
 /// use monityre_units::Speed;
 ///
-/// let arch = Architecture::reference();
-/// let analyzer = EnergyAnalyzer::new(&arch, WorkingConditions::reference());
-/// let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+/// let advisor = OptimizationAdvisor::new(&Scenario::reference(), Speed::from_kmh(30.0)).unwrap();
 /// let outcome = advisor.optimize(SelectionPolicy::DutyCycleAware).unwrap();
 /// assert!(outcome.saving() > 0.0);
 /// ```
 #[derive(Debug)]
-pub struct OptimizationAdvisor<'a> {
-    analyzer: &'a EnergyAnalyzer<'a>,
+pub struct OptimizationAdvisor {
+    scenario: Scenario,
+    cache: EvalCache,
     design_speed: Speed,
 }
 
-impl<'a> OptimizationAdvisor<'a> {
-    /// Creates an advisor evaluating blocks at `design_speed` — typically
-    /// the activation-threshold region the designer wants to improve.
-    #[must_use]
-    pub fn new(analyzer: &'a EnergyAnalyzer<'a>, design_speed: Speed) -> Self {
-        Self {
-            analyzer,
+impl OptimizationAdvisor {
+    /// Creates an advisor evaluating the scenario's blocks at
+    /// `design_speed` — typically the activation-threshold region the
+    /// designer wants to improve.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lookup errors for malformed architectures.
+    pub fn new(scenario: &Scenario, design_speed: Speed) -> Result<Self, CoreError> {
+        Ok(Self {
+            scenario: scenario.clone(),
+            cache: scenario.cache()?,
             design_speed,
-        }
+        })
     }
 
     /// The design speed.
@@ -225,9 +227,9 @@ impl<'a> OptimizationAdvisor<'a> {
         block: &str,
         policy: SelectionPolicy,
     ) -> Result<Recommendation, CoreError> {
-        let energy = self.analyzer.block_energy(block, self.design_speed)?;
-        let model = self.analyzer.architecture().database().block(block)?;
-        let active = model.power(OperatingMode::Active, &self.analyzer.conditions());
+        let energy = self.cache.block_energy(block, self.design_speed)?;
+        let model = self.scenario.architecture().database().block(block)?;
+        let active = model.power(OperatingMode::Active, &self.scenario.conditions());
 
         let (dyn_share, leak_share, basis) = match policy {
             SelectionPolicy::PowerFigures => (
@@ -287,8 +289,8 @@ impl<'a> OptimizationAdvisor<'a> {
     ///
     /// Propagates lookup/evaluation errors.
     pub fn optimize(&self, policy: SelectionPolicy) -> Result<NodeOptimization, CoreError> {
-        let before = self.analyzer.required_per_round(self.design_speed)?;
-        let original = self.analyzer.architecture();
+        let before = self.cache.required_per_round(self.design_speed)?;
+        let original = self.scenario.architecture();
         let mut architecture = original.clone();
         let mut recommendations = Vec::new();
 
@@ -302,12 +304,11 @@ impl<'a> OptimizationAdvisor<'a> {
             recommendations.push(rec);
         }
 
-        let re_analyzer = EnergyAnalyzer::new(&architecture, self.analyzer.conditions())
-            .with_wheel(*self.analyzer.wheel());
-        let after = re_analyzer.required_per_round(self.design_speed)?;
+        let optimized = self.scenario.with_architecture(architecture);
+        let after = optimized.cache()?.required_per_round(self.design_speed)?;
 
         Ok(NodeOptimization {
-            architecture,
+            architecture: optimized.into_architecture(),
             recommendations,
             energy_before: before,
             energy_after: after,
@@ -325,11 +326,13 @@ mod tests {
         (Architecture::reference(), WorkingConditions::reference())
     }
 
+    fn advisor() -> OptimizationAdvisor {
+        OptimizationAdvisor::new(&Scenario::reference(), Speed::from_kmh(30.0)).unwrap()
+    }
+
     #[test]
     fn duty_cycle_aware_beats_naive() {
-        let (arch, cond) = setup();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+        let advisor = advisor();
 
         let aware = advisor.optimize(SelectionPolicy::DutyCycleAware).unwrap();
         let naive = advisor.optimize(SelectionPolicy::PowerFigures).unwrap();
@@ -344,9 +347,7 @@ mod tests {
 
     #[test]
     fn optimization_never_inflates_reference_node() {
-        let (arch, cond) = setup();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+        let advisor = advisor();
         for policy in [
             SelectionPolicy::PowerFigures,
             SelectionPolicy::DutyCycleAware,
@@ -360,9 +361,7 @@ mod tests {
     fn dsp_gets_static_treatment_only_when_duty_aware() {
         // The DSP's active power is dynamic-dominated, but it idles ≈ 95 %
         // of the round — the paper's motivating case.
-        let (arch, cond) = setup();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+        let advisor = advisor();
 
         let naive = advisor
             .recommend("dsp", SelectionPolicy::PowerFigures)
@@ -383,9 +382,7 @@ mod tests {
 
     #[test]
     fn always_active_block_not_power_gated() {
-        let (arch, cond) = setup();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+        let advisor = advisor();
         let rec = advisor
             .recommend("pm", SelectionPolicy::DutyCycleAware)
             .unwrap();
@@ -422,9 +419,7 @@ mod tests {
 
     #[test]
     fn revisions_bumped_by_reestimation() {
-        let (arch, cond) = setup();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+        let advisor = advisor();
         let outcome = advisor.optimize(SelectionPolicy::DutyCycleAware).unwrap();
         // Every block was rewritten exactly once.
         for (_, record) in outcome.architecture.database().iter() {
@@ -434,9 +429,7 @@ mod tests {
 
     #[test]
     fn recommendation_rationale_is_informative() {
-        let (arch, cond) = setup();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+        let advisor = advisor();
         let rec = advisor
             .recommend("sram", SelectionPolicy::DutyCycleAware)
             .unwrap();

@@ -280,13 +280,8 @@ impl EnergyBalance {
         steps: usize,
         executor: &SweepExecutor,
     ) -> BalanceReport {
-        let _span = monityre_obs::span!("balance.sweep");
-        let speeds = speed_grid(lo, hi, steps);
-        let points = executor.map(&speeds, |_, &speed| {
-            self.point(speed)
-                .expect("speeds in a validated sweep are positive")
-        });
-        BalanceReport { points }
+        self.sweep_cancellable(lo, hi, steps, executor, &|| false)
+            .expect("a never-cancelled sweep always completes")
     }
 
     /// Sweeps `[lo, hi]` on `executor`'s workers, polling `cancelled`
@@ -308,10 +303,8 @@ impl EnergyBalance {
     ) -> Option<BalanceReport> {
         let _span = monityre_obs::span!("balance.sweep");
         let speeds = speed_grid(lo, hi, steps);
-        let points = executor.map_cancellable(&speeds, cancelled, |_, &speed| {
-            self.point(speed)
-                .expect("speeds in a validated sweep are positive")
-        })?;
+        let points =
+            executor.map_cancellable(&speeds, cancelled, |_, &speed| self.grid_point(speed))?;
         Some(BalanceReport { points })
     }
 
@@ -343,10 +336,8 @@ impl EnergyBalance {
         while start < steps {
             let end = steps.min(start + chunk);
             let speeds: Vec<Speed> = (start..end).map(|i| grid_speed(lo, hi, steps, i)).collect();
-            let points = executor.map_cancellable(&speeds, cancelled, |_, &speed| {
-                self.point(speed)
-                    .expect("speeds in a validated sweep are positive")
-            })?;
+            let points =
+                executor.map_cancellable(&speeds, cancelled, |_, &speed| self.grid_point(speed))?;
             if let Some(first) = points.iter().position(BalancePoint::is_surplus) {
                 let below = first.checked_sub(1).map(|i| &points[i]);
                 return Some(Some(crossing(below.or(before.as_ref()), &points[first])));
@@ -355,6 +346,13 @@ impl EnergyBalance {
             (start, chunk) = (end, chunk * 2);
         }
         Some(None)
+    }
+
+    /// [`Self::point`] at a speed of a grid already checked to be
+    /// positive.
+    fn grid_point(&self, speed: Speed) -> BalancePoint {
+        self.point(speed)
+            .expect("speeds in a validated sweep are positive")
     }
 }
 

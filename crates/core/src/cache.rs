@@ -1,29 +1,180 @@
-//! Memoized per-block energy figures.
+//! Per-wheel-round energy evaluation.
+//!
+//! The step the paper calls the "evaluation tool that calculates the
+//! contribute in term of energy consumption" (§II): power figures alone
+//! are not enough, because "temporal aspects are not considered" — each
+//! block's power is integrated over its duty-cycle schedule within a
+//! wheel round, plus the workload-proportional event energy.
 //!
 //! A sweep evaluates the same architecture under the same conditions at
 //! hundreds of speeds, but only the round *period* changes between points:
 //! every power lookup (`model.power(mode, conditions)`) and every
 //! workload event energy is speed-independent. [`EvalCache`] hoists those
-//! out of the per-point loop once per [`Scenario`], so a sweep point costs
-//! one allocation-free walk over the lazily resolved phases of each block
-//! instead of a full database traversal.
-//!
-//! The hoisted figures are the analyzer's own per-block evaluator, built
-//! once per block instead of once per call, so cached and uncached
-//! figures are bit-identical — the property the parallel sweep tests pin
-//! down.
+//! out of the per-point loop once per [`Scenario`], so a point costs one
+//! allocation-free walk over the lazily resolved phases of each block
+//! instead of a full database traversal. When the conditions drift (the
+//! emulator's tyre temperature), the figures are re-priced in place
+//! rather than rebuilt.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use monityre_power::EnergyBreakdown;
+use monityre_node::{Architecture, NodeError, RoundSchedule};
+use monityre_power::{EnergyBreakdown, OperatingMode, PowerBreakdown, WorkingConditions};
 use monityre_profile::Wheel;
-use monityre_units::{Duration, Energy, Power, Speed};
+use monityre_units::{Duration, DutyCycle, Energy, Power, Speed};
 use serde::{Deserialize, Serialize};
 
-use crate::analyzer::{ensure_rolling, BlockFigures};
-use crate::{CoreError, NodeEnergy, Scenario};
+use crate::{CoreError, Scenario};
+
+/// Rejects standstill, reversing and non-finite speeds, at which a wheel
+/// round is undefined — the guard every evaluator shares.
+pub(crate) fn ensure_rolling(speed: Speed) -> Result<(), CoreError> {
+    if speed.mps() <= 0.0 || !speed.is_finite() {
+        return Err(CoreError::round_undefined(speed.kmh()));
+    }
+    Ok(())
+}
+
+/// One block's speed-independent figures under fixed conditions, and
+/// [`Self::breakdown`], the one place a block's per-round energy is
+/// computed. The schedule is an owned copy, so the per-point walk reads
+/// contiguous memory instead of going back to the architecture.
+#[derive(Debug, Clone)]
+struct BlockFigures {
+    name: String,
+    schedule: RoundSchedule,
+    rest_power: PowerBreakdown,
+    /// Power in each scheduled phase's mode, aligned with
+    /// `schedule.phases()` (and therefore with `schedule.resolve(..)`).
+    phase_powers: Vec<PowerBreakdown>,
+    /// Pre-multiplied `per_event × count` workload contributions, in
+    /// workload iteration order.
+    event_contributions: Vec<Energy>,
+}
+
+impl BlockFigures {
+    /// Looks up `name`'s plan in `architecture` and prices it under
+    /// `conditions`.
+    fn new(
+        architecture: &Architecture,
+        name: &str,
+        conditions: &WorkingConditions,
+    ) -> Result<Self, CoreError> {
+        let mut figures = Self {
+            name: name.to_owned(),
+            schedule: architecture.plan(name)?.schedule().clone(),
+            rest_power: PowerBreakdown::ZERO,
+            phase_powers: Vec::new(),
+            event_contributions: Vec::new(),
+        };
+        figures.price(architecture, conditions)?;
+        Ok(figures)
+    }
+
+    /// Evaluates every power and event figure under `conditions`, reusing
+    /// the vectors' storage.
+    fn price(
+        &mut self,
+        architecture: &Architecture,
+        conditions: &WorkingConditions,
+    ) -> Result<(), CoreError> {
+        let plan = architecture.plan(&self.name)?;
+        let model = architecture.database().block(&self.name)?;
+        self.rest_power = model.power(self.schedule.rest_mode(), conditions);
+        self.phase_powers.clear();
+        self.phase_powers.extend(
+            self.schedule
+                .phases()
+                .iter()
+                .map(|phase| model.power(phase.mode, conditions)),
+        );
+        self.event_contributions.clear();
+        self.event_contributions.extend(
+            plan.workload()
+                .iter()
+                .filter_map(|(kind, count)| Some(model.event_energy(kind, conditions)? * count)),
+        );
+        Ok(())
+    }
+
+    /// The block's energy over one round of `period`, split dynamic and
+    /// leakage — the walk itself, which allocates nothing.
+    ///
+    /// The average over the phase recurrence periods is taken: a phase
+    /// running every N rounds contributes `1/N` of its energy to each
+    /// round, with the rest mode covering that span in the other rounds.
+    fn breakdown(&self, period: Duration) -> EnergyBreakdown {
+        // Baseline: the whole round in the rest mode…
+        let mut energy = self.rest_power.over(period);
+        // …corrected by each phase's amortized delta over the rest mode.
+        for (phase, phase_power) in self.schedule.resolve(period).zip(&self.phase_powers) {
+            let delta_dyn = phase_power.dynamic - self.rest_power.dynamic;
+            let delta_leak = phase_power.leakage - self.rest_power.leakage;
+            let share = phase.amortized_duration();
+            energy.dynamic += delta_dyn * share;
+            energy.leakage += delta_leak * share;
+        }
+        // Event energy is workload-proportional switching energy.
+        for contribution in &self.event_contributions {
+            energy.dynamic += *contribution;
+        }
+        energy
+    }
+
+    /// [`Self::breakdown`] labelled with the block's name and duty cycle,
+    /// for the per-block reports.
+    fn energy(&self, period: Duration) -> BlockEnergy {
+        BlockEnergy {
+            name: self.name.clone(),
+            energy: self.breakdown(period),
+            duty_cycle: self.schedule.duty_cycle(period),
+        }
+    }
+}
+
+/// One block's per-round energy, with the inputs the advisor needs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockEnergy {
+    /// The block's name.
+    pub name: String,
+    /// Energy per wheel round, split dynamic/leakage.
+    pub energy: EnergyBreakdown,
+    /// The block's duty cycle in this round.
+    pub duty_cycle: DutyCycle,
+}
+
+/// The whole node's per-round energy figure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeEnergy {
+    /// The evaluation speed.
+    pub speed: Speed,
+    /// The wheel-round period at that speed.
+    pub round_period: Duration,
+    /// Per-block figures, sorted by name.
+    pub blocks: Vec<BlockEnergy>,
+}
+
+impl NodeEnergy {
+    /// Total energy per round across blocks.
+    #[must_use]
+    pub fn total(&self) -> EnergyBreakdown {
+        self.blocks.iter().map(|b| b.energy).sum()
+    }
+
+    /// Average node power over the round.
+    #[must_use]
+    pub fn average_power(&self) -> Power {
+        self.total().total() / self.round_period
+    }
+
+    /// Looks up one block's figure.
+    #[must_use]
+    pub fn block(&self, name: &str) -> Option<&BlockEnergy> {
+        self.blocks.iter().find(|b| b.name == name)
+    }
+}
 
 /// Hit/miss/eviction tallies of an [`EvalCache`]'s per-speed memo —
 /// see [`EvalCache::stats`]. All zeros when no memo is attached.
@@ -125,26 +276,33 @@ impl SpeedMemo {
     }
 }
 
-/// Per-block, per-conditions energy figures hoisted out of the sweep loop.
+/// Per-block, per-conditions energy figures hoisted out of the sweep loop
+/// — the one evaluator every per-round energy, power and standby figure
+/// comes from.
 ///
-/// Built once per [`Scenario`] (see [`Scenario::cache`]) and immutable
+/// Built once per [`Scenario`] (see [`Scenario::cache`]) and only read
 /// afterwards, so sweep workers can evaluate points through a shared
-/// reference.
+/// reference; the one exception is the emulator, which re-prices its own
+/// copy in place as the tyre temperature moves.
 ///
 /// ```
 /// use monityre_core::{EvalCache, Scenario};
 /// use monityre_units::Speed;
 ///
-/// let scenario = Scenario::reference();
-/// let cache = scenario.cache().unwrap();
-/// let direct = scenario.analyzer().required_per_round(Speed::from_kmh(60.0)).unwrap();
-/// let cached = cache.required_per_round(Speed::from_kmh(60.0)).unwrap();
-/// assert_eq!(cached.joules().to_bits(), direct.joules().to_bits());
+/// let cache = Scenario::reference().cache().unwrap();
+/// let energy = cache.node_energy(Speed::from_kmh(60.0)).unwrap();
+/// // µJ-class budget per round for the reference node.
+/// assert!(energy.total().total().microjoules() > 1.0);
+/// assert!(energy.total().total().microjoules() < 100.0);
+/// let total = cache.required_per_round(Speed::from_kmh(60.0)).unwrap();
+/// assert_eq!(total.joules().to_bits(), energy.total().total().joules().to_bits());
 /// ```
 #[derive(Debug, Clone)]
 pub struct EvalCache {
+    architecture: Arc<Architecture>,
+    conditions: WorkingConditions,
     wheel: Wheel,
-    blocks: Vec<BlockFigures<'static>>,
+    blocks: Vec<BlockFigures>,
     /// Opt-in per-speed memo ([`Self::with_memo`]); `None` keeps the
     /// sweep hot path allocation- and lock-free (pinned by
     /// `tests/cold_kernel_allocations.rs`).
@@ -159,23 +317,38 @@ impl EvalCache {
     ///
     /// Propagates lookup errors for malformed architectures.
     pub fn new(scenario: &Scenario) -> Result<Self, CoreError> {
-        let architecture = scenario.architecture();
+        let architecture = scenario.architecture_arc();
         let conditions = scenario.conditions();
         let blocks = architecture
             .block_names()
-            .map(|name| Ok(BlockFigures::new(architecture, name, &conditions)?.into_owned()))
+            .map(|name| BlockFigures::new(&architecture, name, &conditions))
             .collect::<Result<_, CoreError>>()?;
         Ok(Self {
+            architecture,
+            conditions,
             wheel: *scenario.wheel(),
             blocks,
             memo: None,
         })
     }
 
+    /// Re-prices every block under `conditions` in place — what a drifting
+    /// tyre temperature costs per step instead of a fresh build — and
+    /// drops the memo, whose figures belonged to the old conditions.
+    pub(crate) fn reprice(&mut self, conditions: WorkingConditions) {
+        self.conditions = conditions;
+        for figures in &mut self.blocks {
+            figures
+                .price(&self.architecture, &conditions)
+                .expect("figures were built from this architecture");
+        }
+        self.memo = None;
+    }
+
     /// Attaches a bounded per-speed memo of [`Self::required_per_round`]
     /// results (total `capacity` entries across shards, FIFO eviction).
     /// A memo hit returns the identical previously computed `f64`, so
-    /// bit-identity with the analyzer is preserved by construction. The
+    /// memoized and fresh figures are bit-identical by construction. The
     /// serving layer enables this for its warm scenarios, where repeated
     /// requests revisit the same speed grids; one-shot sweeps should not.
     #[must_use]
@@ -222,8 +395,26 @@ impl EvalCache {
         Ok(self.wheel.round_period(speed))
     }
 
-    /// The whole node's energy per wheel round at `speed` — bit-identical
-    /// to [`crate::EnergyAnalyzer::node_energy`] on the same scenario.
+    /// One block's energy per wheel round at `speed` (see
+    /// [`Self::node_energy`] for the whole node).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::RoundUndefined`] at standstill, or a lookup
+    /// error for unknown blocks.
+    pub fn block_energy(&self, name: &str, speed: Speed) -> Result<BlockEnergy, CoreError> {
+        let period = self.round_period(speed)?;
+        let figures = self
+            .blocks
+            .iter()
+            .find(|figures| figures.name == name)
+            .ok_or_else(|| NodeError::UnknownBlock {
+                name: name.to_owned(),
+            })?;
+        Ok(figures.energy(period))
+    }
+
+    /// The whole node's energy per wheel round at `speed`.
     ///
     /// # Errors
     ///
@@ -251,13 +442,13 @@ impl EvalCache {
     /// Returns [`CoreError::RoundUndefined`] at standstill.
     pub fn required_per_round(&self, speed: Speed) -> Result<Energy, CoreError> {
         let Some(memo) = &self.memo else {
-            return self.walk_total(speed);
+            return Ok(self.walk_total(self.round_period(speed)?));
         };
         let key = speed.mps().to_bits();
         if let Some(joules) = memo.get(key) {
             return Ok(Energy::from_joules(joules));
         }
-        let value = self.walk_total(speed)?;
+        let value = self.walk_total(self.round_period(speed)?);
         memo.insert(key, value.joules());
         Ok(value)
     }
@@ -265,31 +456,57 @@ impl EvalCache {
     /// The per-block walk folded straight into the node total, in block
     /// order — the fold [`NodeEnergy::total`] performs, without labelling
     /// or collecting the blocks, so it allocates nothing.
-    fn walk_total(&self, speed: Speed) -> Result<Energy, CoreError> {
-        let period = self.round_period(speed)?;
-        Ok(self
-            .blocks
+    fn walk_total(&self, period: Duration) -> Energy {
+        self.blocks
             .iter()
             .map(|figures| figures.breakdown(period))
             .sum::<EnergyBreakdown>()
-            .total())
+            .total()
     }
 
-    /// Average node power while rolling at `speed`.
+    /// Average node power while rolling at `speed` — the fold
+    /// [`NodeEnergy::average_power`] performs, without the labelled
+    /// blocks.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::RoundUndefined`] at standstill.
     pub fn average_power(&self, speed: Speed) -> Result<Power, CoreError> {
-        Ok(self.node_energy(speed)?.average_power())
+        let period = self.round_period(speed)?;
+        Ok(self.walk_total(period) / period)
+    }
+
+    /// Node power while the monitoring function is *switched off*: every
+    /// block falls to `Off` except the always-on power management, which
+    /// keeps its rest behaviour. This is the floor the transient emulator
+    /// charges while waiting for the energy balance to turn positive.
+    #[must_use]
+    pub fn standby_power(&self) -> Power {
+        let mut total = Power::ZERO;
+        for name in self.architecture.block_names() {
+            let model = match self.architecture.database().block(name) {
+                Ok(m) => m,
+                Err(_) => continue,
+            };
+            let mode = if name == "pm" {
+                self.architecture
+                    .plan(name)
+                    .map(|p| p.schedule().rest_mode())
+                    .unwrap_or(OperatingMode::Sleep)
+            } else {
+                OperatingMode::Off
+            };
+            total += model.power(mode, &self.conditions).total();
+        }
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monityre_node::{Architecture, NodeConfig};
-    use monityre_power::{ProcessCorner, WorkingConditions};
+    use monityre_node::NodeConfig;
+    use monityre_power::ProcessCorner;
     use monityre_units::Temperature;
 
     fn scenarios() -> Vec<Scenario> {
@@ -314,38 +531,155 @@ mod tests {
         ]
     }
 
+    /// Every figure the cache reports agrees bit for bit with the
+    /// labelled per-block walk: the memo-free and memoized totals, the
+    /// single-block lookup and the average power.
     #[test]
-    fn cached_node_energy_is_bit_identical_to_analyzer() {
+    fn every_figure_folds_the_same_walk() {
         for scenario in scenarios() {
             let cache = scenario.cache().unwrap();
-            let analyzer = scenario.analyzer();
+            let memoized = scenario.cache().unwrap().with_memo(64);
             for kmh in [6.0, 13.7, 30.0, 61.3, 99.0, 187.5] {
                 let v = Speed::from_kmh(kmh);
-                let direct = analyzer.node_energy(v).unwrap();
-                let cached = cache.node_energy(v).unwrap();
-                assert_eq!(direct.blocks.len(), cached.blocks.len());
-                for (d, c) in direct.blocks.iter().zip(&cached.blocks) {
-                    assert_eq!(d.name, c.name);
-                    assert_eq!(
-                        d.energy.dynamic.joules().to_bits(),
-                        c.energy.dynamic.joules().to_bits(),
-                        "dynamic of {} at {kmh} km/h",
-                        d.name
-                    );
-                    assert_eq!(
-                        d.energy.leakage.joules().to_bits(),
-                        c.energy.leakage.joules().to_bits(),
-                        "leakage of {} at {kmh} km/h",
-                        d.name
-                    );
-                    assert_eq!(d.duty_cycle, c.duty_cycle);
+                let node = cache.node_energy(v).unwrap();
+                let total = node.total().total().joules().to_bits();
+                assert_eq!(
+                    total,
+                    cache.required_per_round(v).unwrap().joules().to_bits()
+                );
+                for _ in 0..2 {
+                    // The second lookup is a memo hit.
+                    let hit = memoized.required_per_round(v).unwrap();
+                    assert_eq!(total, hit.joules().to_bits(), "memo at {kmh} km/h");
                 }
                 assert_eq!(
-                    direct.total().total().joules().to_bits(),
-                    cache.required_per_round(v).unwrap().joules().to_bits(),
+                    node.average_power().watts().to_bits(),
+                    cache.average_power(v).unwrap().watts().to_bits(),
                 );
+                for block in &node.blocks {
+                    assert_eq!(&cache.block_energy(&block.name, v).unwrap(), block);
+                }
             }
         }
+    }
+
+    #[test]
+    fn repricing_matches_a_fresh_build() {
+        let scenario = Scenario::reference();
+        let hot = WorkingConditions::reference().with_temperature(Temperature::from_celsius(85.0));
+        let mut cache = scenario.cache().unwrap().with_memo(16);
+        let _ = cache.required_per_round(Speed::from_kmh(50.0)).unwrap();
+        cache.reprice(hot);
+        assert!(!cache.has_memo(), "a memo of the old conditions is dropped");
+        let fresh = scenario.with_conditions(hot).cache().unwrap();
+        for kmh in [6.0, 50.0, 187.5] {
+            let v = Speed::from_kmh(kmh);
+            assert_eq!(cache.node_energy(v).unwrap(), fresh.node_energy(v).unwrap());
+        }
+        assert_eq!(
+            cache.standby_power().watts().to_bits(),
+            fresh.standby_power().watts().to_bits()
+        );
+    }
+
+    #[test]
+    fn node_energy_is_microjoule_class() {
+        let cache = Scenario::reference().cache().unwrap();
+        let total = cache
+            .node_energy(Speed::from_kmh(60.0))
+            .unwrap()
+            .total()
+            .total();
+        assert!(
+            total.microjoules() > 5.0 && total.microjoules() < 50.0,
+            "got {total}"
+        );
+    }
+
+    #[test]
+    fn unknown_block_is_a_lookup_error() {
+        let cache = Scenario::reference().cache().unwrap();
+        assert!(matches!(
+            cache.block_energy("gpu", Speed::from_kmh(50.0)),
+            Err(CoreError::Node(NodeError::UnknownBlock { .. }))
+        ));
+    }
+
+    #[test]
+    fn radio_energy_amortizes_tx_period() {
+        let v = Speed::from_kmh(60.0);
+        let sparse = Scenario::reference().cache().unwrap();
+        let dense = Scenario::builder()
+            .config(NodeConfig::reference().with_tx_period_rounds(1))
+            .build()
+            .cache()
+            .unwrap();
+        // Transmitting every round costs ~4× the every-4th-round budget.
+        let ratio = dense.block_energy("radio", v).unwrap().energy.total()
+            / sparse.block_energy("radio", v).unwrap().energy.total();
+        assert!(ratio > 3.0 && ratio < 5.0, "ratio {ratio}");
+    }
+
+    #[test]
+    fn leakage_share_grows_at_low_speed() {
+        let cache = Scenario::reference().cache().unwrap();
+        let slow = cache.node_energy(Speed::from_kmh(10.0)).unwrap().total();
+        let fast = cache.node_energy(Speed::from_kmh(150.0)).unwrap().total();
+        assert!(slow.leakage > fast.leakage); // longer round ⇒ more idle leakage
+    }
+
+    #[test]
+    fn hot_conditions_raise_leakage_energy() {
+        let v = Speed::from_kmh(50.0);
+        let mut cache = Scenario::reference().cache().unwrap();
+        let e_cool = cache.node_energy(v).unwrap().total();
+        cache.reprice(
+            WorkingConditions::reference().with_temperature(Temperature::from_celsius(85.0)),
+        );
+        let e_hot = cache.node_energy(v).unwrap().total();
+        assert!(e_hot.leakage > e_cool.leakage * 10.0);
+        // Dynamic barely moves.
+        assert!((e_hot.dynamic / e_cool.dynamic - 1.0).abs() < 0.05);
+    }
+
+    #[test]
+    fn corner_shifts_total() {
+        let v = Speed::from_kmh(50.0);
+        let tt = Scenario::reference().cache().unwrap();
+        let ff = Scenario::builder()
+            .conditions(WorkingConditions::reference().with_corner(ProcessCorner::FastFast))
+            .build()
+            .cache()
+            .unwrap();
+        assert!(ff.required_per_round(v).unwrap() > tt.required_per_round(v).unwrap());
+    }
+
+    #[test]
+    fn standby_power_is_sub_threshold() {
+        let cache = Scenario::reference().cache().unwrap();
+        let standby = cache.standby_power();
+        let rolling = cache.average_power(Speed::from_kmh(60.0)).unwrap();
+        assert!(
+            standby < rolling * 0.2,
+            "standby {standby} rolling {rolling}"
+        );
+        assert!(standby > Power::ZERO);
+    }
+
+    #[test]
+    fn duty_cycles_reported() {
+        let cache = Scenario::reference().cache().unwrap();
+        let e = cache.node_energy(Speed::from_kmh(60.0)).unwrap();
+        assert!(e.block("radio").unwrap().duty_cycle.is_short());
+        assert_eq!(e.block("pm").unwrap().duty_cycle, DutyCycle::ALWAYS_ACTIVE);
+    }
+
+    #[test]
+    fn block_energies_sum_to_total() {
+        let cache = Scenario::reference().cache().unwrap();
+        let e = cache.node_energy(Speed::from_kmh(70.0)).unwrap();
+        let sum: Energy = e.blocks.iter().map(|b| b.energy.total()).sum();
+        assert!(sum.approx_eq(e.total().total(), 1e-12));
     }
 
     #[test]
@@ -449,17 +783,6 @@ mod tests {
                 misses: 22,
                 evictions: 33
             }
-        );
-    }
-
-    #[test]
-    fn average_power_matches_analyzer() {
-        let scenario = Scenario::reference();
-        let cache = scenario.cache().unwrap();
-        let v = Speed::from_kmh(90.0);
-        assert_eq!(
-            cache.average_power(v).unwrap(),
-            scenario.analyzer().average_power(v).unwrap()
         );
     }
 }

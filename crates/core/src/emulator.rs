@@ -9,13 +9,11 @@
 //! during all the considered time. … The last step is useful for
 //! identifying operating windows of the conceived monitoring system."
 
-use monityre_harvest::{HarvestChain, Storage};
-use monityre_node::Architecture;
-use monityre_power::WorkingConditions;
+use monityre_harvest::Storage;
 use monityre_profile::{ProfileSampler, SpeedProfile, TyreThermalModel};
 use monityre_units::{Duration, Energy, Power, Speed, Temperature};
 
-use crate::{CoreError, EnergyAnalyzer};
+use crate::{CoreError, EvalCache, Scenario};
 
 /// Emulator tuning: step size, activation hysteresis, thermal coupling.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,53 +154,89 @@ impl EmulationReport {
     }
 }
 
+/// What one integration step moved through the storage element.
+#[derive(Debug, Default)]
+pub(crate) struct StepExchange {
+    /// Inflow the storage absorbed.
+    pub(crate) harvested: Energy,
+    /// Inflow the full reservoir could not absorb.
+    pub(crate) spilled: Energy,
+    /// Energy actually withdrawn for the node.
+    pub(crate) consumed: Energy,
+    /// Whether the storage could not cover the whole demand.
+    pub(crate) short: bool,
+}
+
+/// One step's storage exchange, shared by the emulator and the governor:
+/// deposit `inflow` when positive, self-discharge over `step`, then
+/// withdraw the demand `demand` prices at the resulting state of charge.
+/// On a shortfall (a brownout) whatever is left is taken instead.
+pub(crate) fn exchange<S: Storage>(
+    storage: &mut S,
+    inflow: Energy,
+    step: Duration,
+    demand: impl FnOnce(f64) -> Energy,
+) -> StepExchange {
+    let mut flow = StepExchange::default();
+    if inflow > Energy::ZERO {
+        let spill = storage.deposit(inflow);
+        flow.harvested = inflow - spill;
+        flow.spilled = spill;
+    }
+    storage.self_discharge(step);
+    let demand = demand(storage.state_of_charge());
+    match storage.withdraw(demand) {
+        Ok(()) => flow.consumed = demand,
+        Err(e) => {
+            flow.short = true;
+            let available = demand - e.shortfall();
+            if available > Energy::ZERO && storage.withdraw(available).is_ok() {
+                flow.consumed = available;
+            }
+        }
+    }
+    flow
+}
+
 /// The long-window emulator.
 ///
 /// ```
-/// use monityre_core::{EmulatorConfig, TransientEmulator};
-/// use monityre_harvest::{HarvestChain, Supercap};
-/// use monityre_node::Architecture;
-/// use monityre_power::WorkingConditions;
-/// use monityre_profile::{ConstantProfile};
+/// use monityre_core::{EmulatorConfig, Scenario, TransientEmulator};
+/// use monityre_harvest::Supercap;
+/// use monityre_profile::ConstantProfile;
 /// use monityre_units::{Duration, Speed};
 ///
-/// let arch = Architecture::reference();
-/// let chain = HarvestChain::reference();
-/// let emulator = TransientEmulator::new(
-///     &arch, &chain, WorkingConditions::reference(), EmulatorConfig::new()).unwrap();
+/// let emulator = TransientEmulator::new(&Scenario::reference(), EmulatorConfig::new()).unwrap();
 /// let cruise = ConstantProfile::new(Speed::from_kmh(90.0), Duration::from_mins(2.0));
 /// let mut storage = Supercap::reference();
 /// let report = emulator.run(&cruise, &mut storage);
 /// assert!(report.coverage() > 0.9); // highway cruise keeps the node alive
 /// ```
 #[derive(Debug)]
-pub struct TransientEmulator<'a> {
-    architecture: &'a Architecture,
-    chain: &'a HarvestChain,
-    base_conditions: WorkingConditions,
+pub struct TransientEmulator {
+    scenario: Scenario,
+    /// Priced under the scenario's conditions; each run re-prices a copy
+    /// at every step's tyre temperature.
+    cache: EvalCache,
     config: EmulatorConfig,
 }
 
-impl<'a> TransientEmulator<'a> {
-    /// Creates an emulator.
+impl TransientEmulator {
+    /// Creates an emulator over the scenario's architecture, chain and
+    /// wheel.
     ///
-    /// The temperature inside `base_conditions` is ignored — the thermal
-    /// model supplies the working temperature at every step.
+    /// The temperature inside the scenario's conditions is ignored — the
+    /// thermal model supplies the working temperature at every step.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] for an invalid config.
-    pub fn new(
-        architecture: &'a Architecture,
-        chain: &'a HarvestChain,
-        base_conditions: WorkingConditions,
-        config: EmulatorConfig,
-    ) -> Result<Self, CoreError> {
+    /// Returns [`CoreError::InvalidParameter`] for an invalid config, or
+    /// a lookup error for a malformed architecture.
+    pub fn new(scenario: &Scenario, config: EmulatorConfig) -> Result<Self, CoreError> {
         config.validate()?;
         Ok(Self {
-            architecture,
-            chain,
-            base_conditions,
+            scenario: scenario.clone(),
+            cache: scenario.cache()?,
             config,
         })
     }
@@ -216,6 +250,9 @@ impl<'a> TransientEmulator<'a> {
     /// Runs the emulation over `profile`, mutating `storage`.
     pub fn run<S: Storage>(&self, profile: &dyn SpeedProfile, storage: &mut S) -> EmulationReport {
         let dt = self.config.step;
+        let chain = self.scenario.chain();
+        let base_conditions = self.scenario.conditions();
+        let mut cache = self.cache.clone();
         let mut tyre_temp = self.config.ambient;
         let mut active = storage.state_of_charge() >= self.config.activate_soc;
 
@@ -238,59 +275,39 @@ impl<'a> TransientEmulator<'a> {
                 .config
                 .thermal
                 .step(tyre_temp, v, self.config.ambient, step);
-            let conditions = self.base_conditions.with_temperature(tyre_temp);
-            let analyzer =
-                EnergyAnalyzer::new(self.architecture, conditions).with_wheel(*self.chain.wheel());
+            cache.reprice(base_conditions.with_temperature(tyre_temp));
 
-            // Supply side.
-            let inflow = self.chain.delivered_power(v) * step;
-            if !inflow.is_negative() && inflow > Energy::ZERO {
-                let spill = storage.deposit(inflow);
-                harvested += inflow - spill;
-                spilled += spill;
-            }
-            storage.self_discharge(step);
-
-            // Hysteresis on the state of charge.
-            let soc = storage.state_of_charge();
-            if active && soc <= self.config.deactivate_soc {
+            let mut node_power = Power::ZERO;
+            let flow = exchange(storage, chain.delivered_power(v) * step, step, |soc| {
+                // Hysteresis on the state of charge.
+                if active && soc <= self.config.deactivate_soc {
+                    active = false;
+                    if let Some(start) = window_start.take() {
+                        windows.push(OperatingWindow { start, end: t });
+                    }
+                } else if !active && soc >= self.config.activate_soc {
+                    active = true;
+                    window_start = Some(t);
+                }
+                // Demand side.
+                node_power = if active && v.mps() > 0.0 {
+                    cache
+                        .average_power(v)
+                        .unwrap_or_else(|_| cache.standby_power())
+                } else {
+                    cache.standby_power()
+                };
+                node_power * step
+            });
+            harvested += flow.harvested;
+            spilled += flow.spilled;
+            consumed += flow.consumed;
+            if flow.short && active {
+                // Brownout: what was left is taken, the node shuts down.
+                brownouts += 1;
                 active = false;
                 if let Some(start) = window_start.take() {
                     windows.push(OperatingWindow { start, end: t });
-                }
-            } else if !active && soc >= self.config.activate_soc {
-                active = true;
-                window_start = Some(t);
-            }
-
-            // Demand side.
-            let node_power = if active {
-                if v.mps() > 0.0 {
-                    analyzer
-                        .average_power(v)
-                        .unwrap_or_else(|_| analyzer.standby_power())
-                } else {
-                    analyzer.standby_power()
-                }
-            } else {
-                analyzer.standby_power()
-            };
-            let demand = node_power * step;
-            match storage.withdraw(demand) {
-                Ok(()) => consumed += demand,
-                Err(e) => {
-                    // Brownout: take what's there, shut down.
-                    let available = demand - e.shortfall();
-                    if available > Energy::ZERO && storage.withdraw(available).is_ok() {
-                        consumed += available;
-                    }
-                    if active {
-                        brownouts += 1;
-                        active = false;
-                        if let Some(start) = window_start.take() {
-                            windows.push(OperatingWindow { start, end: t });
-                        }
-                    }
                 }
             }
 
@@ -330,24 +347,13 @@ mod tests {
     use monityre_profile::{CompositeProfile, ConstantProfile, UrbanCycle};
     use monityre_units::{Capacitance, Resistance, Voltage};
 
-    fn setup() -> (Architecture, HarvestChain) {
-        (Architecture::reference(), HarvestChain::reference())
-    }
-
-    fn emulator<'a>(arch: &'a Architecture, chain: &'a HarvestChain) -> TransientEmulator<'a> {
-        TransientEmulator::new(
-            arch,
-            chain,
-            WorkingConditions::reference(),
-            EmulatorConfig::new(),
-        )
-        .unwrap()
+    fn emulator() -> TransientEmulator {
+        TransientEmulator::new(&Scenario::reference(), EmulatorConfig::new()).unwrap()
     }
 
     #[test]
     fn highway_cruise_stays_active() {
-        let (arch, chain) = setup();
-        let emu = emulator(&arch, &chain);
+        let emu = emulator();
         let cruise = ConstantProfile::new(Speed::from_kmh(110.0), Duration::from_mins(5.0));
         let mut storage = Supercap::reference();
         let report = emu.run(&cruise, &mut storage);
@@ -358,8 +364,7 @@ mod tests {
 
     #[test]
     fn crawl_drains_and_deactivates() {
-        let (arch, chain) = setup();
-        let emu = emulator(&arch, &chain);
+        let emu = emulator();
         // 8 km/h: above cut-in but deep in the deficit region.
         let crawl = ConstantProfile::new(Speed::from_kmh(8.0), Duration::from_mins(30.0));
         let mut storage = Supercap::reference();
@@ -372,8 +377,7 @@ mod tests {
 
     #[test]
     fn parked_node_goes_dark_but_survives_on_floor() {
-        let (arch, chain) = setup();
-        let emu = emulator(&arch, &chain);
+        let emu = emulator();
         let parked = ConstantProfile::new(Speed::ZERO, Duration::from_hours(1.0));
         let mut storage = Supercap::reference();
         let soc0 = storage.state_of_charge();
@@ -385,8 +389,7 @@ mod tests {
 
     #[test]
     fn urban_cycle_produces_multiple_windows_or_partial_coverage() {
-        let (arch, chain) = setup();
-        let emu = emulator(&arch, &chain);
+        let emu = emulator();
         // Start the reservoir right at the activation threshold so the
         // stop-and-go cycle visibly modulates the node.
         let mut storage = Supercap::new(
@@ -408,8 +411,7 @@ mod tests {
 
     #[test]
     fn energy_conservation_with_negligible_self_discharge() {
-        let (arch, chain) = setup();
-        let emu = emulator(&arch, &chain);
+        let emu = emulator();
         // Practically leak-free supercap isolates the accounting.
         let mut storage = Supercap::new(
             Capacitance::from_millifarads(47.0),
@@ -432,8 +434,7 @@ mod tests {
 
     #[test]
     fn windows_are_ordered_and_within_span() {
-        let (arch, chain) = setup();
-        let emu = emulator(&arch, &chain);
+        let emu = emulator();
         let trip = CompositeProfile::new(vec![
             Box::new(ConstantProfile::new(
                 Speed::from_kmh(60.0),
@@ -461,8 +462,7 @@ mod tests {
 
     #[test]
     fn motorway_heats_the_tyre() {
-        let (arch, chain) = setup();
-        let emu = emulator(&arch, &chain);
+        let emu = emulator();
         let cruise = ConstantProfile::new(Speed::from_kmh(130.0), Duration::from_mins(30.0));
         let mut storage = Supercap::reference();
         let report = emu.run(&cruise, &mut storage);
@@ -476,19 +476,15 @@ mod tests {
 
     #[test]
     fn invalid_config_rejected() {
-        let (arch, chain) = setup();
         let mut config = EmulatorConfig::new();
         config.activate_soc = 0.1;
         config.deactivate_soc = 0.5;
-        assert!(
-            TransientEmulator::new(&arch, &chain, WorkingConditions::reference(), config).is_err()
-        );
+        assert!(TransientEmulator::new(&Scenario::reference(), config).is_err());
     }
 
     #[test]
     fn coverage_of_always_active_run_is_one() {
-        let (arch, chain) = setup();
-        let emu = emulator(&arch, &chain);
+        let emu = emulator();
         let cruise = ConstantProfile::new(Speed::from_kmh(120.0), Duration::from_mins(1.0));
         let mut storage = Supercap::reference();
         let report = emu.run(&cruise, &mut storage);

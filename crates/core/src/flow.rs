@@ -9,7 +9,6 @@
 //! print the same intermediate results the paper's tool surfaces.
 
 use monityre_harvest::{Storage, Supercap};
-use monityre_node::Architecture;
 use monityre_power::{OperatingMode, PowerBreakdown};
 use monityre_profile::SpeedProfile;
 use monityre_units::Speed;
@@ -175,10 +174,8 @@ impl Flow {
     ) -> Result<FlowReport, CoreError> {
         let architecture = self.scenario.architecture();
         let conditions = self.scenario.conditions();
-        let chain = self.scenario.chain();
 
         // Stage 1: power estimation.
-        let analyzer = self.scenario.analyzer();
         let mut power_estimates = Vec::new();
         for name in architecture.block_names() {
             let p =
@@ -189,23 +186,21 @@ impl Flow {
         }
 
         // Stage 2: energy evaluation.
-        let initial_energy = analyzer.node_energy(self.design_speed)?;
+        let initial_energy = self.scenario.cache()?.node_energy(self.design_speed)?;
 
         // Stages 3 + 4: optimization and re-estimation.
-        let advisor = crate::OptimizationAdvisor::new(&analyzer, self.design_speed);
+        let advisor = crate::OptimizationAdvisor::new(&self.scenario, self.design_speed)?;
         let optimization = advisor.optimize(self.policy)?;
+        let optimized = self
+            .scenario
+            .with_architecture(optimization.architecture.clone());
 
         // Stage 5: energy-source integration (both architectures).
-        let balance_before = self.stage5_sweep(architecture)?;
-        let balance = self.stage5_sweep(&optimization.architecture)?;
+        let balance_before = self.stage5_sweep(&self.scenario)?;
+        let balance = self.stage5_sweep(&optimized)?;
 
         // Stage 6: long-window emulation of the optimized node.
-        let emulator = TransientEmulator::new(
-            &optimization.architecture,
-            chain,
-            conditions,
-            self.emulator_config.clone(),
-        )?;
+        let emulator = TransientEmulator::new(&optimized, self.emulator_config.clone())?;
         let emulation = emulator.run(profile, storage);
 
         Ok(FlowReport {
@@ -218,10 +213,9 @@ impl Flow {
         })
     }
 
-    /// The stage-5 balance sweep for one candidate architecture.
-    fn stage5_sweep(&self, architecture: &Architecture) -> Result<BalanceReport, CoreError> {
-        let session = self.scenario.with_architecture(architecture.clone());
-        Ok(EnergyBalance::new(&session)?.sweep_with(
+    /// The stage-5 balance sweep for one candidate session.
+    fn stage5_sweep(&self, session: &Scenario) -> Result<BalanceReport, CoreError> {
+        Ok(EnergyBalance::new(session)?.sweep_with(
             Speed::from_kmh(5.0),
             Speed::from_kmh(200.0),
             118,

@@ -13,7 +13,8 @@ use monityre_node::{Architecture, NodeConfig};
 use monityre_profile::{ProfileSampler, SpeedProfile};
 use monityre_units::{Duration, Energy, Power};
 
-use crate::{CoreError, EnergyAnalyzer, Scenario};
+use crate::emulator::exchange;
+use crate::{CoreError, EvalCache, Scenario};
 
 /// One rung of the governor's ladder.
 #[derive(Debug, Clone)]
@@ -82,7 +83,8 @@ impl GovernedReport {
 pub struct Governor {
     scenario: Scenario,
     levels: Vec<GovernorLevel>,
-    architectures: Vec<Architecture>,
+    /// One cache per level, priced once: the conditions never change.
+    caches: Vec<EvalCache>,
     step: Duration,
     hysteresis: f64,
 }
@@ -93,7 +95,8 @@ impl Governor {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] when the ladder is empty,
-    /// thresholds are outside `[0, 1]`, or not strictly decreasing.
+    /// thresholds are outside `[0, 1]`, or not strictly decreasing, and
+    /// propagates lookup errors for malformed architectures.
     pub fn new(scenario: &Scenario, levels: Vec<GovernorLevel>) -> Result<Self, CoreError> {
         if levels.is_empty() {
             return Err(CoreError::invalid_parameter("governor needs >= 1 level"));
@@ -110,14 +113,18 @@ impl Governor {
                 "level thresholds must be strictly decreasing",
             ));
         }
-        let architectures = levels
+        let caches = levels
             .iter()
-            .map(|l| Architecture::from_config(l.config))
-            .collect();
+            .map(|l| {
+                scenario
+                    .with_architecture(Architecture::from_config(l.config))
+                    .cache()
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             scenario: scenario.clone(),
             levels,
-            architectures,
+            caches,
             step: Duration::from_millis(10.0),
             hysteresis: 0.02,
         })
@@ -183,12 +190,6 @@ impl Governor {
         storage: &mut S,
     ) -> Result<GovernedReport, CoreError> {
         let chain = self.scenario.chain();
-        let conditions = self.scenario.conditions();
-        let analyzers: Vec<EnergyAnalyzer<'_>> = self
-            .architectures
-            .iter()
-            .map(|a| EnergyAnalyzer::new(a, conditions).with_wheel(*self.scenario.wheel()))
-            .collect();
         let off_index = self.levels.len();
         let mut level_time = vec![Duration::ZERO; off_index + 1];
         let mut samples_acquired = 0.0f64;
@@ -201,66 +202,50 @@ impl Governor {
             let v = sample.speed;
             let dt = sample.step;
 
-            // Supply.
-            let inflow = chain.delivered_power(v) * dt;
-            if inflow > Energy::ZERO {
-                let spill = storage.deposit(inflow);
-                harvested += inflow - spill;
-            }
-            storage.self_discharge(dt);
+            let mut rate = 0.0f64;
+            let flow = exchange(storage, chain.delivered_power(v) * dt, dt, |soc| {
+                // Level selection with hysteresis: moving *up* requires the
+                // threshold plus the band; staying only the threshold.
+                let mut selected = off_index;
+                for (i, level) in self.levels.iter().enumerate() {
+                    let needed = if i < current {
+                        level.min_soc + self.hysteresis
+                    } else {
+                        level.min_soc
+                    };
+                    if soc >= needed {
+                        selected = i;
+                        break;
+                    }
+                }
+                if selected != current {
+                    switches += 1;
+                    current = selected;
+                }
 
-            // Level selection with hysteresis: moving *up* requires the
-            // threshold plus the band; staying only the threshold.
-            let soc = storage.state_of_charge();
-            let mut selected = off_index;
-            for (i, level) in self.levels.iter().enumerate() {
-                let needed = if i < current {
-                    level.min_soc + self.hysteresis
+                // Demand at the selected level.
+                let power: Power = if current < off_index && v.mps() > 0.0 {
+                    let cache = &self.caches[current];
+                    let rounds_per_sec = chain.wheel().rounds_per_second(v).hertz();
+                    rate =
+                        f64::from(self.levels[current].config.samples_per_round()) * rounds_per_sec;
+                    cache
+                        .average_power(v)
+                        .unwrap_or_else(|_| cache.standby_power())
+                } else if current < off_index {
+                    self.caches[current].standby_power()
                 } else {
-                    level.min_soc
+                    self.caches[0].standby_power()
                 };
-                if soc >= needed {
-                    selected = i;
-                    break;
-                }
-            }
-            if selected != current {
+                power * dt
+            });
+            harvested += flow.harvested;
+            consumed += flow.consumed;
+            if !flow.short {
+                samples_acquired += rate * dt.secs();
+            } else if current != off_index {
                 switches += 1;
-                current = selected;
-            }
-
-            // Demand at the selected level.
-            let (power, rate): (Power, f64) = if current < off_index && v.mps() > 0.0 {
-                let analyzer = &analyzers[current];
-                let p = analyzer
-                    .average_power(v)
-                    .unwrap_or_else(|_| analyzer.standby_power());
-                let rounds_per_sec = chain.wheel().rounds_per_second(v).hertz();
-                let samples_per_sec =
-                    f64::from(self.levels[current].config.samples_per_round()) * rounds_per_sec;
-                (p, samples_per_sec)
-            } else if current < off_index {
-                (analyzers[current].standby_power(), 0.0)
-            } else {
-                (analyzers[0].standby_power(), 0.0)
-            };
-
-            let demand = power * dt;
-            match storage.withdraw(demand) {
-                Ok(()) => {
-                    consumed += demand;
-                    samples_acquired += rate * dt.secs();
-                }
-                Err(e) => {
-                    let available = demand - e.shortfall();
-                    if available > Energy::ZERO && storage.withdraw(available).is_ok() {
-                        consumed += available;
-                    }
-                    if current != off_index {
-                        switches += 1;
-                        current = off_index;
-                    }
-                }
+                current = off_index;
             }
             level_time[current] += dt;
         }

@@ -2,10 +2,10 @@
 //!
 //! This crate is the paper's primary contribution, implemented end to end:
 //!
-//! 1. **Per-round energy evaluation** ([`EnergyAnalyzer`]) — converts the
+//! 1. **Per-round energy evaluation** ([`EvalCache`]) — converts the
 //!    power database's figures into *energy per wheel round* using each
 //!    block's duty-cycle schedule and event workload, under explicit
-//!    working conditions;
+//!    working conditions, once per [`Scenario`];
 //! 2. **Energy balance** ([`EnergyBalance`]) — the generated-vs-required
 //!    curves of the paper's Fig. 2, with break-even extraction;
 //! 3. **Optimization advisor** ([`OptimizationAdvisor`]) — the paper's
@@ -22,8 +22,8 @@
 //!    charts used by every experiment harness.
 //!
 //! All of them run inside a shared evaluation session: a [`Scenario`]
-//! bundles architecture + conditions + harvest chain + wheel, an
-//! [`EvalCache`] memoizes the per-block, per-conditions figures, and a
+//! bundles architecture + conditions + harvest chain + wheel, its
+//! [`EvalCache`] holds the per-block, per-conditions figures, and a
 //! [`SweepExecutor`] fans sweep batches out across threads with
 //! bit-identical-to-serial results.
 //!
@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 mod advisor;
-mod analyzer;
 mod axes;
 mod balance;
 mod cache;
@@ -71,13 +70,12 @@ mod workbook;
 pub use advisor::{
     NodeOptimization, OptimizationAdvisor, Recommendation, SelectionPolicy, Technique,
 };
-pub use analyzer::{BlockEnergy, EnergyAnalyzer, NodeEnergy};
 pub use axes::{
     RadioLink, ScenarioExtras, StorageAgeing, AGEING_RATE_PER_YEAR, MAX_AGE_YEARS,
     MAX_RADIO_RETRIES,
 };
 pub use balance::{speed_grid, BalancePoint, BalanceReport, EnergyBalance};
-pub use cache::{CacheCounts, EvalCache};
+pub use cache::{BlockEnergy, CacheCounts, EvalCache, NodeEnergy};
 pub use emulator::{EmulationReport, EmulatorConfig, OperatingWindow, TransientEmulator};
 pub use error::CoreError;
 pub use executor::{SweepExecutor, THREADS_ENV_VAR};

@@ -10,10 +10,10 @@
 //! the battery below the tyre's wear life, while the scavenger sustains
 //! the load indefinitely above the break-even speed.
 
-use monityre_harvest::{HarvestChain, IdealBattery, Storage};
+use monityre_harvest::{IdealBattery, Storage};
 use monityre_units::{Distance, Duration, Energy, Speed};
 
-use crate::{CoreError, EnergyAnalyzer};
+use crate::{CoreError, EvalCache, Scenario};
 
 /// A driver's daily usage pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,9 +108,9 @@ const MAX_DAYS: u32 = 20 * 365;
 /// own self-discharge), so hot in-tyre cells are treated faithfully.
 ///
 /// ```
-/// use monityre_core::{EnergyAnalyzer, LifetimeEstimator, UsagePattern};
+/// use monityre_core::{LifetimeEstimator, Scenario, UsagePattern};
 /// use monityre_harvest::{HarvestChain, IdealBattery, PiezoScavenger, Regulator};
-/// use monityre_node::{Architecture, NodeConfig};
+/// use monityre_node::NodeConfig;
 /// use monityre_power::WorkingConditions;
 /// use monityre_profile::Wheel;
 /// use monityre_units::Temperature;
@@ -118,21 +118,22 @@ const MAX_DAYS: u32 = 20 * 365;
 /// // Full-rate monitoring on a warm tyre — the application the paper
 /// // means — with a harvester sized 1.5x for that load (§I: available
 /// // energy depends on the size of the scavenging device).
-/// let config = NodeConfig::reference()
-///     .with_samples_per_round(512)
-///     .with_tx_period_rounds(1)
-///     .with_payload_bytes(64);
-/// let arch = Architecture::from_config(config);
-/// let cond = WorkingConditions::reference()
-///     .with_temperature(Temperature::from_celsius(45.0));
-/// let analyzer = EnergyAnalyzer::new(&arch, cond);
-/// let chain = HarvestChain::new(
-///     PiezoScavenger::reference().scaled(1.5),
-///     Regulator::reference(),
-///     Wheel::reference(),
-/// );
+/// let scenario = Scenario::builder()
+///     .config(
+///         NodeConfig::reference()
+///             .with_samples_per_round(512)
+///             .with_tx_period_rounds(1)
+///             .with_payload_bytes(64),
+///     )
+///     .conditions(WorkingConditions::reference().with_temperature(Temperature::from_celsius(45.0)))
+///     .chain(HarvestChain::new(
+///         PiezoScavenger::reference().scaled(1.5),
+///         Regulator::reference(),
+///         Wheel::reference(),
+///     ))
+///     .build();
 ///
-/// let estimator = LifetimeEstimator::new(&analyzer, &chain);
+/// let estimator = LifetimeEstimator::new(&scenario).unwrap();
 /// let report = estimator
 ///     .compare(UsagePattern::light_commuter(), IdealBattery::coin_cell_in_tyre())
 ///     .unwrap();
@@ -140,16 +141,23 @@ const MAX_DAYS: u32 = 20 * 365;
 /// assert!(report.scavenger_sustains);
 /// ```
 #[derive(Debug)]
-pub struct LifetimeEstimator<'a> {
-    analyzer: &'a EnergyAnalyzer<'a>,
-    chain: &'a HarvestChain,
+pub struct LifetimeEstimator {
+    scenario: Scenario,
+    cache: EvalCache,
 }
 
-impl<'a> LifetimeEstimator<'a> {
-    /// Creates an estimator.
-    #[must_use]
-    pub fn new(analyzer: &'a EnergyAnalyzer<'a>, chain: &'a HarvestChain) -> Self {
-        Self { analyzer, chain }
+impl LifetimeEstimator {
+    /// Creates an estimator for the scenario's node, conditions and
+    /// harvesting chain.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lookup errors for malformed architectures.
+    pub fn new(scenario: &Scenario) -> Result<Self, CoreError> {
+        Ok(Self {
+            scenario: scenario.clone(),
+            cache: scenario.cache()?,
+        })
     }
 
     /// The node's consumption over one day of the pattern: driving at the
@@ -160,9 +168,9 @@ impl<'a> LifetimeEstimator<'a> {
     /// Propagates pattern validation and evaluation errors.
     pub fn daily_consumption(&self, pattern: UsagePattern) -> Result<Energy, CoreError> {
         pattern.validate()?;
-        let driving = self.analyzer.average_power(pattern.mean_speed)? * pattern.daily_driving;
+        let driving = self.cache.average_power(pattern.mean_speed)? * pattern.daily_driving;
         let parked_time = Duration::from_secs(SECONDS_PER_DAY) - pattern.daily_driving;
-        let parked = self.analyzer.standby_power() * parked_time;
+        let parked = self.cache.standby_power() * parked_time;
         Ok(driving + parked)
     }
 
@@ -173,7 +181,7 @@ impl<'a> LifetimeEstimator<'a> {
     /// Propagates pattern validation errors.
     pub fn daily_harvest(&self, pattern: UsagePattern) -> Result<Energy, CoreError> {
         pattern.validate()?;
-        Ok(self.chain.delivered_power(pattern.mean_speed) * pattern.daily_driving)
+        Ok(self.scenario.chain().delivered_power(pattern.mean_speed) * pattern.daily_driving)
     }
 
     /// Days the battery survives under the pattern (day-stepped, capped
@@ -230,20 +238,27 @@ impl<'a> LifetimeEstimator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monityre_node::{Architecture, NodeConfig};
+    use monityre_harvest::HarvestChain;
+    use monityre_node::NodeConfig;
     use monityre_power::WorkingConditions;
     use monityre_units::Temperature;
 
-    /// Full-rate monitoring on a warm tyre: the Cyber-Tyre-class load.
-    fn full_rate() -> (Architecture, WorkingConditions) {
-        let config = NodeConfig::reference()
-            .with_samples_per_round(512)
-            .with_tx_period_rounds(1)
-            .with_payload_bytes(64);
-        (
-            Architecture::from_config(config),
-            WorkingConditions::reference().with_temperature(Temperature::from_celsius(45.0)),
-        )
+    /// Full-rate monitoring on a warm tyre, the Cyber-Tyre-class load, fed
+    /// by `chain`.
+    fn full_rate(chain: HarvestChain) -> LifetimeEstimator {
+        let scenario = Scenario::builder()
+            .config(
+                NodeConfig::reference()
+                    .with_samples_per_round(512)
+                    .with_tx_period_rounds(1)
+                    .with_payload_bytes(64),
+            )
+            .conditions(
+                WorkingConditions::reference().with_temperature(Temperature::from_celsius(45.0)),
+            )
+            .chain(chain)
+            .build();
+        LifetimeEstimator::new(&scenario).unwrap()
     }
 
     /// A harvester sized 1.5x for the full-rate load.
@@ -257,10 +272,7 @@ mod tests {
 
     #[test]
     fn full_rate_monitoring_outlives_a_coin_cell() {
-        let (arch, cond) = full_rate();
-        let chain = sized_chain();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let estimator = LifetimeEstimator::new(&analyzer, &chain);
+        let estimator = full_rate(sized_chain());
         let report = estimator
             .compare(
                 UsagePattern::light_commuter(),
@@ -280,14 +292,15 @@ mod tests {
         // The nuance: a frugal TPMS-class configuration (few samples,
         // sparse TX) does fine on a battery — which is why plain TPMS
         // sensors ship with one.
-        let config = NodeConfig::reference()
-            .with_samples_per_round(32)
-            .with_tx_period_rounds(16)
-            .with_acquisition_fraction(0.03);
-        let arch = Architecture::from_config(config);
-        let chain = HarvestChain::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, WorkingConditions::reference());
-        let estimator = LifetimeEstimator::new(&analyzer, &chain);
+        let scenario = Scenario::builder()
+            .config(
+                NodeConfig::reference()
+                    .with_samples_per_round(32)
+                    .with_tx_period_rounds(16)
+                    .with_acquisition_fraction(0.03),
+            )
+            .build();
+        let estimator = LifetimeEstimator::new(&scenario).unwrap();
         let report = estimator
             .compare(UsagePattern::commuter(), IdealBattery::coin_cell())
             .unwrap();
@@ -296,10 +309,7 @@ mod tests {
 
     #[test]
     fn long_haul_wears_the_tyre_before_anything_else() {
-        let (arch, cond) = full_rate();
-        let chain = HarvestChain::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let estimator = LifetimeEstimator::new(&analyzer, &chain);
+        let estimator = full_rate(HarvestChain::reference());
         let report = estimator
             .compare(UsagePattern::long_haul(), IdealBattery::coin_cell_in_tyre())
             .unwrap();
@@ -312,10 +322,7 @@ mod tests {
 
     #[test]
     fn self_discharge_shortens_battery_life() {
-        let (arch, cond) = full_rate();
-        let chain = HarvestChain::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let estimator = LifetimeEstimator::new(&analyzer, &chain);
+        let estimator = full_rate(HarvestChain::reference());
         let pattern = UsagePattern::commuter();
         let shelf = estimator
             .battery_days(pattern, IdealBattery::coin_cell())
@@ -328,24 +335,18 @@ mod tests {
 
     #[test]
     fn daily_accounting_splits_driving_and_standby() {
-        let (arch, cond) = full_rate();
-        let chain = HarvestChain::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let estimator = LifetimeEstimator::new(&analyzer, &chain);
+        let estimator = full_rate(HarvestChain::reference());
         let pattern = UsagePattern::commuter();
         let consumption = estimator.daily_consumption(pattern).unwrap();
         let driving_only =
-            analyzer.average_power(pattern.mean_speed).unwrap() * pattern.daily_driving;
+            estimator.cache.average_power(pattern.mean_speed).unwrap() * pattern.daily_driving;
         assert!(consumption > driving_only);
         assert!(consumption < driving_only * 2.0);
     }
 
     #[test]
     fn scavenger_fails_below_break_even() {
-        let (arch, cond) = full_rate();
-        let chain = HarvestChain::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let estimator = LifetimeEstimator::new(&analyzer, &chain);
+        let estimator = full_rate(HarvestChain::reference());
         let crawl = UsagePattern {
             daily_driving: Duration::from_hours(2.0),
             mean_speed: Speed::from_kmh(15.0),
@@ -356,10 +357,7 @@ mod tests {
 
     #[test]
     fn rejects_invalid_patterns() {
-        let (arch, cond) = full_rate();
-        let chain = HarvestChain::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let estimator = LifetimeEstimator::new(&analyzer, &chain);
+        let estimator = full_rate(HarvestChain::reference());
         let bad_time = UsagePattern {
             daily_driving: Duration::ZERO,
             mean_speed: Speed::from_kmh(50.0),

@@ -16,7 +16,7 @@ use monityre_node::{Architecture, NodeConfig};
 use monityre_power::WorkingConditions;
 use monityre_profile::Wheel;
 
-use crate::{CoreError, EnergyAnalyzer, EvalCache, ScenarioExtras};
+use crate::{CoreError, EvalCache, ScenarioExtras};
 
 /// One immutable evaluation session: architecture + conditions + harvest
 /// chain + wheel.
@@ -95,10 +95,9 @@ impl Scenario {
         self.extras.as_deref()
     }
 
-    /// An [`EnergyAnalyzer`] borrowing this scenario's architecture.
-    #[must_use]
-    pub fn analyzer(&self) -> EnergyAnalyzer<'_> {
-        EnergyAnalyzer::new(&self.architecture, self.conditions).with_wheel(self.wheel)
+    /// A shared handle to the architecture, for the cache built from it.
+    pub(crate) fn architecture_arc(&self) -> Arc<Architecture> {
+        Arc::clone(&self.architecture)
     }
 
     /// Precomputes the per-block, per-conditions energy figures.
@@ -132,6 +131,24 @@ impl Scenario {
             conditions,
             chain: Arc::clone(&self.chain),
             wheel: self.wheel,
+            extras: self.extras.clone(),
+        }
+    }
+
+    /// The architecture, moved out when no other session or cache shares
+    /// it (copied otherwise).
+    pub(crate) fn into_architecture(self) -> Architecture {
+        Arc::try_unwrap(self.architecture).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// A derived session on a different harvesting chain; as in the
+    /// builder, the wheel follows the chain's.
+    pub(crate) fn with_chain(&self, chain: HarvestChain) -> Self {
+        Self {
+            architecture: Arc::clone(&self.architecture),
+            conditions: self.conditions,
+            wheel: *chain.wheel(),
+            chain: Arc::new(chain),
             extras: self.extras.clone(),
         }
     }
@@ -226,7 +243,7 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monityre_units::{Speed, Temperature};
+    use monityre_units::Temperature;
 
     #[test]
     fn reference_defaults_are_consistent() {
@@ -244,7 +261,6 @@ mod tests {
             .conditions(hot)
             .build();
         assert_eq!(scenario.conditions(), hot);
-        assert!(scenario.analyzer().conditions() == hot);
     }
 
     #[test]
@@ -272,17 +288,5 @@ mod tests {
         ));
         let rearch = scenario.with_architecture(Architecture::reference());
         assert!(Arc::ptr_eq(&scenario.chain_arc(), &rearch.chain_arc()));
-    }
-
-    #[test]
-    fn analyzer_matches_hand_built_one() {
-        let scenario = Scenario::reference();
-        let by_hand = EnergyAnalyzer::new(scenario.architecture(), WorkingConditions::reference())
-            .with_wheel(*scenario.chain().wheel());
-        let v = Speed::from_kmh(60.0);
-        assert_eq!(
-            scenario.analyzer().required_per_round(v).unwrap(),
-            by_hand.required_per_round(v).unwrap()
-        );
     }
 }

@@ -7,7 +7,8 @@
 
 use monityre_units::{Duration, Energy, Power, Speed};
 
-use crate::{CoreError, EnergyAnalyzer};
+use crate::cache::ensure_rolling;
+use crate::{CoreError, Scenario};
 
 /// One sample of the instant-power trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,18 +28,15 @@ pub struct TraceSample {
 /// order; a phase recurring every N rounds appears only in rounds whose
 /// index is a multiple of N. Event energy (samples, packet bytes) is drawn
 /// uniformly across each block's clocked time in the rounds where it runs,
-/// so the trace's integral matches the analyzer's per-round energy.
+/// so the trace's integral matches the per-round energy of
+/// [`crate::EvalCache`].
 ///
 /// ```
-/// use monityre_core::{EnergyAnalyzer, InstantTrace};
-/// use monityre_node::Architecture;
-/// use monityre_power::WorkingConditions;
+/// use monityre_core::{InstantTrace, Scenario};
 /// use monityre_units::{Duration, Speed};
 ///
-/// let arch = Architecture::reference();
-/// let analyzer = EnergyAnalyzer::new(&arch, WorkingConditions::reference());
 /// let trace = InstantTrace::generate(
-///     &analyzer,
+///     &Scenario::reference(),
 ///     Speed::from_kmh(60.0),
 ///     Duration::from_millis(500.0),
 ///     Duration::from_micros(100.0),
@@ -61,7 +59,7 @@ impl InstantTrace {
     /// Returns [`CoreError::RoundUndefined`] at standstill, or
     /// [`CoreError::InvalidParameter`] for a non-positive window/step.
     pub fn generate(
-        analyzer: &EnergyAnalyzer<'_>,
+        scenario: &Scenario,
         speed: Speed,
         window: Duration,
         step: Duration,
@@ -72,9 +70,10 @@ impl InstantTrace {
         if step.secs() <= 0.0 || !step.is_finite() {
             return Err(CoreError::invalid_parameter("step must be positive"));
         }
-        let period = analyzer.round_period(speed)?;
-        let arch = analyzer.architecture();
-        let cond = analyzer.conditions();
+        ensure_rolling(speed)?;
+        let period = scenario.wheel().round_period(speed);
+        let arch = scenario.architecture();
+        let cond = scenario.conditions();
 
         // Pre-resolve each block's layout once.
         struct BlockLayout {
@@ -228,14 +227,10 @@ impl InstantTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monityre_node::Architecture;
-    use monityre_power::WorkingConditions;
 
     fn trace_at(kmh: f64, window_ms: f64, step_us: f64) -> InstantTrace {
-        let arch = Architecture::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, WorkingConditions::reference());
         InstantTrace::generate(
-            &analyzer,
+            &Scenario::reference(),
             Speed::from_kmh(kmh),
             Duration::from_millis(window_ms),
             Duration::from_micros(step_us),
@@ -276,21 +271,21 @@ mod tests {
     }
 
     #[test]
-    fn integral_matches_analyzer_energy() {
-        let arch = Architecture::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, WorkingConditions::reference());
+    fn integral_matches_cached_energy() {
+        let scenario = Scenario::reference();
+        let cache = scenario.cache().unwrap();
         let speed = Speed::from_kmh(60.0);
-        let period = analyzer.round_period(speed).unwrap();
+        let period = cache.round_period(speed).unwrap();
         // Exactly 4 rounds (one full TX cycle) at fine resolution.
         let window = period * 4.0;
         let step = Duration::from_micros(20.0);
-        let trace = InstantTrace::generate(&analyzer, speed, window, step).unwrap();
+        let trace = InstantTrace::generate(&scenario, speed, window, step).unwrap();
         let integral: f64 = trace
             .samples()
             .iter()
             .map(|s| s.total.watts() * step.secs())
             .sum();
-        let expected = analyzer.required_per_round(speed).unwrap().joules() * 4.0;
+        let expected = cache.required_per_round(speed).unwrap().joules() * 4.0;
         let rel = (integral - expected).abs() / expected;
         assert!(rel < 0.02, "integral {integral} vs expected {expected}");
     }
@@ -326,24 +321,23 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters() {
-        let arch = Architecture::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, WorkingConditions::reference());
+        let scenario = Scenario::reference();
         assert!(InstantTrace::generate(
-            &analyzer,
+            &scenario,
             Speed::ZERO,
             Duration::from_millis(10.0),
             Duration::from_micros(10.0)
         )
         .is_err());
         assert!(InstantTrace::generate(
-            &analyzer,
+            &scenario,
             Speed::from_kmh(50.0),
             Duration::ZERO,
             Duration::from_micros(10.0)
         )
         .is_err());
         assert!(InstantTrace::generate(
-            &analyzer,
+            &scenario,
             Speed::from_kmh(50.0),
             Duration::from_millis(10.0),
             Duration::ZERO

@@ -231,12 +231,7 @@ impl VehicleEmulator {
             config.thermal.heating_coefficient() * setup.thermal_scale,
             config.thermal.time_constant(),
         );
-        let emulator = TransientEmulator::new(
-            self.scenario.architecture(),
-            &chain,
-            self.scenario.conditions(),
-            config,
-        )?;
+        let emulator = TransientEmulator::new(&self.scenario.with_chain(chain), config)?;
         let mut storage = Supercap::reference();
         let report = emulator.run(profile, &mut storage);
         Ok((setup.position, report))

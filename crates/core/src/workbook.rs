@@ -2,14 +2,14 @@
 //!
 //! §II-A: "This spreadsheet also estimates the power and energy
 //! consumption of the Sensor Node under different working and operating
-//! conditions." [`crate::EnergyAnalyzer`] computes per-round energy in
+//! conditions." [`crate::EvalCache`] computes per-round energy in
 //! Rust; this module generates a live [`monityre_sheet::Sheet`] whose
 //! *formulas* carry the same computation — round period from speed, phase
 //! durations from the schedules (with the same truncation semantics),
 //! amortization over recurrence periods, workload event energy, and the
 //! whole-node total. Editing the speed cell re-derives everything through
-//! the dependency engine, and the tests pin the workbook to the analyzer
-//! bit-for-bit (within float tolerance).
+//! the dependency engine, and the tests pin the workbook to the cache
+//! (within float tolerance).
 
 use std::fmt::Write as _;
 
@@ -19,7 +19,7 @@ use monityre_profile::Wheel;
 use monityre_sheet::Sheet;
 use monityre_units::{Energy, Speed};
 
-use crate::analyzer::ensure_rolling;
+use crate::cache::ensure_rolling;
 use crate::{CoreError, ScenarioExtras};
 
 /// A generated spreadsheet that evaluates a node's energy per wheel round.
@@ -296,7 +296,7 @@ impl EnergyWorkbook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EnergyAnalyzer;
+    use crate::Scenario;
     use monityre_node::NodeConfig;
     use monityre_units::Temperature;
 
@@ -305,36 +305,39 @@ mod tests {
         conditions: WorkingConditions,
         kmh: f64,
     ) -> (Energy, Energy) {
-        let arch = Architecture::from_config(config);
-        let wheel = Wheel::reference();
+        let scenario = Scenario::builder()
+            .config(config)
+            .conditions(conditions)
+            .build();
         let speed = Speed::from_kmh(kmh);
-        let analyzer = EnergyAnalyzer::new(&arch, conditions).with_wheel(wheel);
-        let expected = analyzer.required_per_round(speed).unwrap();
-        let workbook = EnergyWorkbook::build(&arch, conditions, &wheel, speed).unwrap();
+        let expected = scenario.cache().unwrap().required_per_round(speed).unwrap();
+        let workbook =
+            EnergyWorkbook::build(scenario.architecture(), conditions, scenario.wheel(), speed)
+                .unwrap();
         (workbook.node_energy().unwrap(), expected)
     }
 
     #[test]
-    fn workbook_matches_analyzer_at_reference() {
+    fn workbook_matches_cache_at_reference() {
         for kmh in [10.0, 30.0, 60.0, 120.0, 200.0] {
             let (got, expected) =
                 equivalence_at(NodeConfig::reference(), WorkingConditions::reference(), kmh);
             assert!(
                 got.approx_eq(expected, 1e-9),
-                "at {kmh} km/h: workbook {got} vs analyzer {expected}"
+                "at {kmh} km/h: workbook {got} vs cache {expected}"
             );
         }
     }
 
     #[test]
-    fn workbook_matches_analyzer_when_hot() {
+    fn workbook_matches_cache_when_hot() {
         let cond = WorkingConditions::reference().with_temperature(Temperature::from_celsius(85.0));
         let (got, expected) = equivalence_at(NodeConfig::reference(), cond, 45.0);
         assert!(got.approx_eq(expected, 1e-9), "{got} vs {expected}");
     }
 
     #[test]
-    fn workbook_matches_analyzer_for_custom_configs() {
+    fn workbook_matches_cache_for_custom_configs() {
         let configs = [
             NodeConfig::reference()
                 .with_samples_per_round(512)
@@ -351,35 +354,34 @@ mod tests {
     }
 
     #[test]
-    fn workbook_matches_analyzer_under_truncation() {
+    fn workbook_matches_cache_under_truncation() {
         // At very high speed the round is shorter than the DSP's fixed
         // compute window — the truncation semantics must agree too.
-        let config = NodeConfig::reference();
-        let arch = Architecture::from_config(config);
-        let wheel = Wheel::reference();
         // 5 ms compute vs round period: push to an artificial 2000 km/h
         // (period ≈ 3.4 ms) to force truncation of fixed spans — the model
         // is speed-agnostic, only the maths is exercised.
-        let speed = Speed::from_kmh(2000.0);
-        let cond = WorkingConditions::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, cond).with_wheel(wheel);
-        let expected = analyzer.required_per_round(speed).unwrap();
-        let workbook = EnergyWorkbook::build(&arch, cond, &wheel, speed).unwrap();
-        let got = workbook.node_energy().unwrap();
+        let (got, expected) = equivalence_at(
+            NodeConfig::reference(),
+            WorkingConditions::reference(),
+            2000.0,
+        );
         assert!(got.approx_eq(expected, 1e-9), "{got} vs {expected}");
     }
 
     #[test]
     fn speed_edit_recomputes_live() {
-        let arch = Architecture::reference();
-        let wheel = Wheel::reference();
-        let cond = WorkingConditions::reference();
-        let mut workbook =
-            EnergyWorkbook::build(&arch, cond, &wheel, Speed::from_kmh(60.0)).unwrap();
-        let analyzer = EnergyAnalyzer::new(&arch, cond).with_wheel(wheel);
+        let scenario = Scenario::reference();
+        let mut workbook = EnergyWorkbook::build(
+            scenario.architecture(),
+            scenario.conditions(),
+            scenario.wheel(),
+            Speed::from_kmh(60.0),
+        )
+        .unwrap();
+        let cache = scenario.cache().unwrap();
         for kmh in [15.0, 42.0, 88.0, 170.0] {
             workbook.set_speed(Speed::from_kmh(kmh)).unwrap();
-            let expected = analyzer.required_per_round(Speed::from_kmh(kmh)).unwrap();
+            let expected = cache.required_per_round(Speed::from_kmh(kmh)).unwrap();
             let got = workbook.node_energy().unwrap();
             assert!(
                 got.approx_eq(expected, 1e-9),

@@ -1,6 +1,6 @@
 //! Property-based tests for the energy ledger's conservation invariant:
-//! across random scenarios × extended axes × speeds, the analyzer, the
-//! cache, `point()` and the ledger all read one per-block walk (float
+//! across random scenarios × extended axes × speeds, the cache's node
+//! and block figures, `point()` and the ledger all read one per-block walk (float
 //! layer), the attributed components sum integer-exactly to the aggregate
 //! `BalancePoint` figures (nanojoule layer), and a ledger is byte-stable
 //! across memo states and repeated builds.
@@ -59,14 +59,14 @@ fn bits(e: EnergyBreakdown) -> [u64; 2] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One per-block walk feeds every consumer: the analyzer and the
-    /// cache agree on it per block, bit for bit; `point().required` is
+    /// One per-block walk feeds every consumer: the cache's node and
+    /// single-block figures agree on it, bit for bit; `point().required` is
     /// its total folded with `extra_required_per_round`, bit for bit,
     /// without a memo, on a cold memo and on a warm one; and the
     /// ledger's lines are its figures and the axes' surcharges,
     /// quantized. Explaining leaves the memo untouched.
     #[test]
-    fn one_walk_feeds_analyzer_cache_point_and_ledger(
+    fn one_walk_feeds_cache_point_and_ledger(
         celsius in -40.0f64..125.0,
         corner in 0usize..3,
         samples in 1u32..512,
@@ -81,9 +81,9 @@ proptest! {
         let speed = Speed::from_kmh(kmh);
         let cache = scenario.cache().unwrap();
         let walk = cache.node_energy(speed).unwrap();
-        let direct = scenario.analyzer().node_energy(speed).unwrap();
-        prop_assert_eq!(direct.blocks.len(), walk.blocks.len());
-        for (d, w) in direct.blocks.iter().zip(&walk.blocks) {
+        prop_assert_eq!(walk.blocks.len(), scenario.architecture().len());
+        for w in &walk.blocks {
+            let d = cache.block_energy(&w.name, speed).unwrap();
             prop_assert_eq!(&d.name, &w.name);
             prop_assert_eq!(bits(d.energy), bits(w.energy));
             prop_assert_eq!(d.duty_cycle, w.duty_cycle);

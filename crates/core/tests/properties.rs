@@ -1,8 +1,6 @@
 //! Property-based tests for the analysis flow invariants.
 
-use monityre_core::{
-    EnergyAnalyzer, EnergyBalance, InstantTrace, OptimizationAdvisor, Scenario, SelectionPolicy,
-};
+use monityre_core::{EnergyBalance, InstantTrace, OptimizationAdvisor, Scenario, SelectionPolicy};
 use monityre_node::{Architecture, NodeConfig};
 use monityre_power::{ProcessCorner, WorkingConditions};
 use monityre_units::{Duration, Frequency, Speed, Temperature, Voltage};
@@ -56,9 +54,8 @@ proptest! {
         cond in arb_conditions(),
         design_kmh in 15.0f64..120.0,
     ) {
-        let arch = Architecture::from_config(config);
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(design_kmh));
+        let scenario = Scenario::builder().config(config).conditions(cond).build();
+        let advisor = OptimizationAdvisor::new(&scenario, Speed::from_kmh(design_kmh)).unwrap();
         for policy in [SelectionPolicy::PowerFigures, SelectionPolicy::DutyCycleAware] {
             let outcome = advisor.optimize(policy).unwrap();
             prop_assert!(
@@ -78,25 +75,24 @@ proptest! {
         cond in arb_conditions(),
         check_kmh in 10.0f64..180.0,
     ) {
-        let arch = Architecture::reference();
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let advisor = OptimizationAdvisor::new(&analyzer, Speed::from_kmh(30.0));
+        let scenario = Scenario::builder().conditions(cond).build();
+        let advisor = OptimizationAdvisor::new(&scenario, Speed::from_kmh(30.0)).unwrap();
         let outcome = advisor.optimize(SelectionPolicy::DutyCycleAware).unwrap();
-        let optimized = EnergyAnalyzer::new(&outcome.architecture, cond);
+        let optimized = scenario.with_architecture(outcome.architecture).cache().unwrap();
         let speed = Speed::from_kmh(check_kmh);
-        let before = analyzer.required_per_round(speed).unwrap();
+        let before = scenario.cache().unwrap().required_per_round(speed).unwrap();
         let after = optimized.required_per_round(speed).unwrap();
         prop_assert!(after <= before * 1.01, "at {check_kmh} km/h: {before} -> {after}");
     }
 
-    /// The Fig. 3 trace integral matches the analyzer's per-round energy
+    /// The Fig. 3 trace integral matches the cache's per-round energy
     /// over whole TX cycles, for arbitrary configurations.
     #[test]
     fn trace_integral_consistency(config in arb_config(), kmh in 30.0f64..150.0) {
-        let arch = Architecture::from_config(config);
-        let analyzer = EnergyAnalyzer::new(&arch, WorkingConditions::reference());
+        let scenario = Scenario::builder().config(config).build();
+        let cache = scenario.cache().unwrap();
         let speed = Speed::from_kmh(kmh);
-        let period = analyzer.round_period(speed).unwrap();
+        let period = cache.round_period(speed).unwrap();
         let cycles = config.tx_period_rounds();
         let window = period * f64::from(cycles);
         // The step must resolve the narrowest feature (the TX burst) or
@@ -106,13 +102,13 @@ proptest! {
                 .min(config.tx_burst().secs() / 16.0)
                 .max(2e-6),
         );
-        let trace = InstantTrace::generate(&analyzer, speed, window, step).unwrap();
+        let trace = InstantTrace::generate(&scenario, speed, window, step).unwrap();
         let integral: f64 = trace
             .samples()
             .iter()
             .map(|s| s.total.watts() * step.secs())
             .sum();
-        let expected = analyzer.required_per_round(speed).unwrap().joules()
+        let expected = cache.required_per_round(speed).unwrap().joules()
             * f64::from(cycles);
         let rel = (integral - expected).abs() / expected;
         prop_assert!(rel < 0.06, "rel err {rel:.4} over {cycles} rounds at {kmh} km/h");
@@ -141,9 +137,8 @@ proptest! {
     /// sweep step never reveals a jump larger than the local trend.
     #[test]
     fn demand_curve_is_smooth(config in arb_config(), kmh in 20.0f64..180.0) {
-        let arch = Architecture::from_config(config);
-        let analyzer = EnergyAnalyzer::new(&arch, WorkingConditions::reference());
-        let e = |k: f64| analyzer.required_per_round(Speed::from_kmh(k)).unwrap().joules();
+        let cache = Scenario::builder().config(config).build().cache().unwrap();
+        let e = |k: f64| cache.required_per_round(Speed::from_kmh(k)).unwrap().joules();
         let mid = e(kmh);
         let lo = e(kmh - 0.5);
         let hi = e(kmh + 0.5);

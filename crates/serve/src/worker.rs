@@ -779,13 +779,8 @@ fn run_op<C: Fn() -> bool + Sync>(
                     format!("cycle: unknown driving cycle `{cycle_name}`"),
                 )
             })?;
-            let emulator = TransientEmulator::new(
-                cached.scenario.architecture(),
-                cached.scenario.chain(),
-                cached.scenario.conditions(),
-                EmulatorConfig::new(),
-            )
-            .map_err(|e| (ErrorCode::EvalFailed, e.to_string()))?;
+            let emulator = TransientEmulator::new(&cached.scenario, EmulatorConfig::new())
+                .map_err(|e| (ErrorCode::EvalFailed, e.to_string()))?;
             // Same reservoir as `monityre emulate`: 1.8–3.6 V usable
             // window, 5 MΩ self-discharge, starting at 2.7 V.
             let mut storage = Supercap::new(

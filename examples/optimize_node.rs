@@ -20,8 +20,7 @@ fn main() {
     let scenario = Scenario::reference();
     let design_speed = Speed::from_kmh(30.0);
 
-    let analyzer = scenario.analyzer();
-    let advisor = OptimizationAdvisor::new(&analyzer, design_speed);
+    let advisor = OptimizationAdvisor::new(&scenario, design_speed).expect("scenario evaluates");
 
     for (label, policy) in [
         ("power-figures-only (naive)", SelectionPolicy::PowerFigures),

@@ -21,8 +21,8 @@ fn main() {
         .build();
 
     // 2. Evaluate energy per wheel round at a cruising speed.
-    let analyzer = scenario.analyzer();
-    let energy = analyzer
+    let cache = scenario.cache().expect("reference scenario evaluates");
+    let energy = cache
         .node_energy(Speed::from_kmh(60.0))
         .expect("60 km/h is a valid operating point");
     println!("energy per wheel round @ 60 km/h:");

@@ -5,19 +5,14 @@
 //! cargo run --example road_trip
 //! ```
 
-use monityre::core::{EmulatorConfig, TransientEmulator};
-use monityre::harvest::{HarvestChain, Supercap};
-use monityre::node::Architecture;
-use monityre::power::WorkingConditions;
+use monityre::core::{EmulatorConfig, Scenario, TransientEmulator};
+use monityre::harvest::Supercap;
 use monityre::profile::{
     CompositeProfile, ExtraUrbanCycle, MotorwayCycle, RepeatProfile, SpeedProfile, UrbanCycle,
 };
 use monityre::units::{Duration, Speed};
 
 fn main() {
-    let architecture = Architecture::reference();
-    let chain = HarvestChain::reference();
-
     // A one-hour-ish trip: city, then a country road, then motorway.
     let trip = CompositeProfile::new(vec![
         Box::new(RepeatProfile::new(UrbanCycle::new(), 4)),
@@ -34,13 +29,8 @@ fn main() {
         trip.mean_speed(2000).kmh()
     );
 
-    let emulator = TransientEmulator::new(
-        &architecture,
-        &chain,
-        WorkingConditions::reference(),
-        EmulatorConfig::new(),
-    )
-    .expect("valid emulator configuration");
+    let emulator = TransientEmulator::new(&Scenario::reference(), EmulatorConfig::new())
+        .expect("valid emulator configuration");
 
     let mut storage = Supercap::reference();
     let report = emulator.run(&trip, &mut storage);

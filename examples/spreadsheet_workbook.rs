@@ -5,19 +5,17 @@
 //! cargo run --example spreadsheet_workbook
 //! ```
 
-use monityre::core::{EnergyAnalyzer, EnergyWorkbook};
-use monityre::node::Architecture;
-use monityre::power::WorkingConditions;
-use monityre::profile::Wheel;
+use monityre::core::{EnergyWorkbook, Scenario};
 use monityre::units::Speed;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let architecture = Architecture::reference();
-    let conditions = WorkingConditions::reference();
-    let wheel = Wheel::reference();
-
-    let mut workbook =
-        EnergyWorkbook::build(&architecture, conditions, &wheel, Speed::from_kmh(60.0))?;
+    let scenario = Scenario::reference();
+    let mut workbook = EnergyWorkbook::build(
+        scenario.architecture(),
+        scenario.conditions(),
+        scenario.wheel(),
+        Speed::from_kmh(60.0),
+    )?;
     println!(
         "workbook generated: {} cells over {} blocks",
         workbook.sheet().len(),
@@ -25,15 +23,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Sweep the speed cell and watch the formulas re-derive the budget.
-    let analyzer = EnergyAnalyzer::new(&architecture, conditions).with_wheel(wheel);
-    println!("\nspeed sweep (workbook vs analyzer):");
+    let cache = scenario.cache()?;
+    println!("\nspeed sweep (workbook vs cache):");
     for kmh in [15.0, 30.0, 60.0, 120.0] {
         workbook.set_speed(Speed::from_kmh(kmh))?;
         let sheet_uj = workbook.node_energy()?.microjoules();
-        let rust_uj = analyzer
+        let rust_uj = cache
             .required_per_round(Speed::from_kmh(kmh))?
             .microjoules();
-        println!("  {kmh:>5.0} km/h  workbook {sheet_uj:>9.4} µJ   analyzer {rust_uj:>9.4} µJ");
+        println!("  {kmh:>5.0} km/h  workbook {sheet_uj:>9.4} µJ   cache {rust_uj:>9.4} µJ");
     }
 
     // Per-block breakdown straight from the cells.

@@ -1,22 +1,12 @@
 //! Integration tests for long-window emulation on realistic cycles.
 
-use monityre::core::{EmulatorConfig, TransientEmulator, VehicleEmulator};
-use monityre::harvest::{HarvestChain, Storage, Supercap};
-use monityre::node::Architecture;
-use monityre::power::WorkingConditions;
+use monityre::core::{EmulatorConfig, Scenario, TransientEmulator, VehicleEmulator};
+use monityre::harvest::{Storage, Supercap};
 use monityre::profile::{SpeedProfile, WltcLikeCycle};
 
 #[test]
 fn wltc_like_cycle_sustains_the_reference_node() {
-    let arch = Architecture::reference();
-    let chain = HarvestChain::reference();
-    let emulator = TransientEmulator::new(
-        &arch,
-        &chain,
-        WorkingConditions::reference(),
-        EmulatorConfig::new(),
-    )
-    .unwrap();
+    let emulator = TransientEmulator::new(&Scenario::reference(), EmulatorConfig::new()).unwrap();
     let cycle = WltcLikeCycle::new();
     let mut storage = Supercap::reference();
     let report = emulator.run(&cycle, &mut storage);
@@ -48,15 +38,7 @@ fn wltc_like_cycle_supports_four_corner_friction_estimation() {
 
 #[test]
 fn emulation_respects_storage_bounds_throughout() {
-    let arch = Architecture::reference();
-    let chain = HarvestChain::reference();
-    let emulator = TransientEmulator::new(
-        &arch,
-        &chain,
-        WorkingConditions::reference(),
-        EmulatorConfig::new(),
-    )
-    .unwrap();
+    let emulator = TransientEmulator::new(&Scenario::reference(), EmulatorConfig::new()).unwrap();
     let cycle = WltcLikeCycle::new();
     let mut storage = Supercap::reference();
     let report = emulator.run(&cycle, &mut storage);

@@ -39,10 +39,9 @@ fn fig2_has_paper_shape() {
 #[test]
 fn fig3_has_paper_structure() {
     let scenario = Scenario::reference();
-    let analyzer = scenario.analyzer();
     let speed = Speed::from_kmh(60.0);
     let trace = InstantTrace::generate(
-        &analyzer,
+        &scenario,
         speed,
         Duration::from_millis(500.0),
         Duration::from_micros(50.0),
@@ -88,22 +87,22 @@ fn fig2_and_fig3_are_mutually_consistent() {
     // The Fig. 3 trace's mean power must match the Fig. 2 required energy
     // divided by the round period (over whole TX cycles).
     let scenario = Scenario::reference();
-    let analyzer = scenario.analyzer();
+    let cache = scenario.cache().unwrap();
     let speed = Speed::from_kmh(60.0);
-    let period = analyzer.round_period(speed).unwrap();
+    let period = cache.round_period(speed).unwrap();
     let trace = InstantTrace::generate(
-        &analyzer,
+        &scenario,
         speed,
         period * 8.0, // two full TX cycles
         Duration::from_micros(20.0),
     )
     .unwrap();
-    let required = analyzer.required_per_round(speed).unwrap();
+    let required = cache.required_per_round(speed).unwrap();
     let expected_mean = required / period;
     let rel = (trace.mean().watts() - expected_mean.watts()).abs() / expected_mean.watts();
     assert!(
         rel < 0.02,
-        "trace mean {} vs analyzer {}",
+        "trace mean {} vs cache {}",
         trace.mean(),
         expected_mean
     );

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: invariants that must hold for arbitrary
 //! configurations, conditions and drive profiles.
 
-use monityre::core::{EmulatorConfig, EnergyAnalyzer, EnergyBalance, Scenario, TransientEmulator};
+use monityre::core::{EmulatorConfig, EnergyBalance, Scenario, TransientEmulator};
 use monityre::harvest::{HarvestChain, PiezoScavenger, Regulator, Supercap};
 use monityre::node::{Architecture, NodeConfig};
 use monityre::power::{ProcessCorner, WorkingConditions};
@@ -59,9 +59,8 @@ proptest! {
         cond in arb_conditions(),
         kmh in 1.0f64..250.0,
     ) {
-        let arch = Architecture::from_config(config);
-        let analyzer = EnergyAnalyzer::new(&arch, cond);
-        let e = analyzer.required_per_round(Speed::from_kmh(kmh)).unwrap();
+        let scenario = Scenario::builder().config(config).conditions(cond).build();
+        let e = scenario.cache().unwrap().required_per_round(Speed::from_kmh(kmh)).unwrap();
         prop_assert!(e.is_finite());
         prop_assert!(e > Energy::ZERO);
     }
@@ -75,23 +74,26 @@ proptest! {
         samples in 64u32..512,
         tx in 1u32..8,
     ) {
-        let heavy = Architecture::from_config(
+        let required = |config: NodeConfig| {
+            Scenario::builder()
+                .config(config)
+                .conditions(cond)
+                .build()
+                .cache()
+                .unwrap()
+                .required_per_round(Speed::from_kmh(kmh))
+                .unwrap()
+        };
+        let e_heavy = required(
             NodeConfig::reference()
                 .with_samples_per_round(samples)
                 .with_tx_period_rounds(tx),
         );
-        let light = Architecture::from_config(
+        let e_light = required(
             NodeConfig::reference()
                 .with_samples_per_round(samples / 2)
                 .with_tx_period_rounds(tx * 2),
         );
-        let speed = Speed::from_kmh(kmh);
-        let e_heavy = EnergyAnalyzer::new(&heavy, cond)
-            .required_per_round(speed)
-            .unwrap();
-        let e_light = EnergyAnalyzer::new(&light, cond)
-            .required_per_round(speed)
-            .unwrap();
         prop_assert!(e_light <= e_heavy * 1.000_001);
     }
 
@@ -124,8 +126,6 @@ proptest! {
         speeds in proptest::collection::vec(0.0f64..150.0, 3..8),
         seed_minutes in 1.0f64..4.0,
     ) {
-        let arch = Architecture::reference();
-        let chain = HarvestChain::reference();
         let mut points = vec![(Duration::ZERO, Speed::from_kmh(speeds[0]))];
         let segment = Duration::from_mins(seed_minutes / speeds.len() as f64);
         for (i, &kmh) in speeds.iter().enumerate().skip(1) {
@@ -133,13 +133,7 @@ proptest! {
         }
         let profile = PiecewiseProfile::new(points).unwrap();
 
-        let emulator = TransientEmulator::new(
-            &arch,
-            &chain,
-            WorkingConditions::reference(),
-            EmulatorConfig::new(),
-        )
-        .unwrap();
+        let emulator = TransientEmulator::new(&Scenario::reference(), EmulatorConfig::new()).unwrap();
         let mut storage = Supercap::new(
             Capacitance::from_millifarads(47.0),
             Voltage::from_volts(1.8),
