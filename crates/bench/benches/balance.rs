@@ -8,8 +8,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use monityre_bench::{reference_scenario, BENCH_THREADS};
-use monityre_core::{BreakEvenOptimizer, EnergyBalance, MonteCarlo, SweepExecutor, VariationModel};
-use monityre_units::Speed;
+use monityre_core::{
+    BreakEvenOptimizer, EnergyBalance, MonteCarlo, Scenario, SweepExecutor, VariationModel,
+};
+use monityre_node::NodeConfig;
+use monityre_power::WorkingConditions;
+use monityre_units::{Speed, Temperature};
 
 fn bench_balance(c: &mut Criterion) {
     let scenario = reference_scenario();
@@ -67,8 +71,8 @@ fn bench_balance(c: &mut Criterion) {
     group.finish();
 }
 
-/// 48 serial draws: per draw, one varied copy of the architecture, its
-/// balance build and a break-even scan.
+/// 48 serial draws: per draw, the varied models priced into a cache
+/// derived from the nominal one, and a break-even scan.
 fn bench_montecarlo(c: &mut Criterion) {
     let scenario = reference_scenario();
     let mc = MonteCarlo::new(&scenario, VariationModel::reference(), 42);
@@ -79,23 +83,36 @@ fn bench_montecarlo(c: &mut Criterion) {
     group.finish();
 }
 
-/// The serial optimizer search on a 48-step grid: one architecture,
-/// balance build and scan per candidate.
+/// The serial optimizer search on a 48-step grid: per candidate, a
+/// cache derived from the baseline's, a scan and the consumed fold — on
+/// the reference scenario and on a hot tyre with a node transmitting
+/// every round, whose candidates cross later in the grid.
 fn bench_optimizer(c: &mut Criterion) {
-    let optimizer = BreakEvenOptimizer::new(&reference_scenario());
+    let hot_radio = Scenario::builder()
+        .config(NodeConfig::reference().with_tx_period_rounds(1))
+        .conditions(
+            WorkingConditions::reference().with_temperature(Temperature::from_celsius(85.0)),
+        )
+        .build();
     let serial = SweepExecutor::serial();
     let mut group = c.benchmark_group("optimizer");
-    group.bench_function("search_48", |b| {
-        b.iter(|| {
-            std::hint::black_box(optimizer.search(
-                Speed::from_kmh(5.0),
-                Speed::from_kmh(200.0),
-                48,
-                &serial,
-                &|| false,
-            ))
+    for (name, scenario) in [
+        ("search_48", reference_scenario()),
+        ("search_48_hot_radio", hot_radio),
+    ] {
+        let optimizer = BreakEvenOptimizer::new(&scenario);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                std::hint::black_box(optimizer.search(
+                    Speed::from_kmh(5.0),
+                    Speed::from_kmh(200.0),
+                    48,
+                    &serial,
+                    &|| false,
+                ))
+            });
         });
-    });
+    }
     group.finish();
 }
 

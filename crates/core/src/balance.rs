@@ -198,6 +198,11 @@ impl EnergyBalance {
         &self.scenario
     }
 
+    /// The demand side's evaluation cache.
+    pub(crate) fn cache(&self) -> &EvalCache {
+        &self.cache
+    }
+
     /// Evaluates both curves at one speed. The required curve is the
     /// total of the per-block walk [`Self::explain`] attributes, plus the
     /// fold of the same surcharge pair.
@@ -310,8 +315,8 @@ impl EnergyBalance {
 
     /// The break-even speed of the `[lo, hi]` grid with `steps` samples,
     /// found by scanning the grid upwards and stopping at the first
-    /// surplus instead of sweeping all of it. Chunks of
-    /// [`SCAN_FIRST_CHUNK`], then twice as many, and so on, each go
+    /// surplus instead of sweeping all of it. Chunks of 16 samples
+    /// (`SCAN_FIRST_CHUNK`), then twice as many, and so on, each go
     /// through `executor` with `cancelled` polled between them. Returns
     /// `None` when cancelled, `Some(None)` when the curves never cross,
     /// and otherwise exactly the bits of

@@ -15,18 +15,29 @@
 //! instead of a full database traversal. When the conditions drift (the
 //! emulator's tyre temperature), the figures are re-priced in place
 //! rather than rebuilt.
+//!
+//! A cache for a related node is derived from a priced one instead of
+//! built from nothing: `derive` swaps the architecture (an optimizer
+//! candidate) and `vary` swaps the power models (a Monte Carlo draw).
+//! Reuse is keyed on the block's *model*: where it equals the priced
+//! cache's, the powers of every mode priced there are taken over, and
+//! only the block's own schedule and workload figures are computed.
+//! Every path prices through one function, so a derived cache reports
+//! the bits a fresh build of the same node would.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use monityre_node::{Architecture, NodeError, RoundSchedule};
-use monityre_power::{EnergyBreakdown, OperatingMode, PowerBreakdown, WorkingConditions};
+use monityre_node::{Architecture, BlockPlan, NodeError, RoundSchedule, Workload};
+use monityre_power::{
+    BlockPowerModel, EnergyBreakdown, OperatingMode, PowerBreakdown, WorkingConditions,
+};
 use monityre_profile::Wheel;
 use monityre_units::{Duration, DutyCycle, Energy, Power, Speed};
 use serde::{Deserialize, Serialize};
 
-use crate::{CoreError, Scenario};
+use crate::{ledger, CoreError, Scenario};
 
 /// Rejects standstill, reversing and non-finite speeds, at which a wheel
 /// round is undefined — the guard every evaluator shares.
@@ -55,48 +66,68 @@ struct BlockFigures {
 }
 
 impl BlockFigures {
-    /// Looks up `name`'s plan in `architecture` and prices it under
-    /// `conditions`.
+    /// Prices block `name`'s `plan` with `model` under `conditions` (see
+    /// [`Self::price`]).
     fn new(
-        architecture: &Architecture,
         name: &str,
+        plan: &BlockPlan,
+        model: &BlockPowerModel,
         conditions: &WorkingConditions,
-    ) -> Result<Self, CoreError> {
+        known: Option<&BlockFigures>,
+    ) -> Self {
         let mut figures = Self {
             name: name.to_owned(),
-            schedule: architecture.plan(name)?.schedule().clone(),
+            schedule: plan.schedule().clone(),
             rest_power: PowerBreakdown::ZERO,
             phase_powers: Vec::new(),
             event_contributions: Vec::new(),
         };
-        figures.price(architecture, conditions)?;
-        Ok(figures)
+        figures.price(model, plan.workload(), conditions, known);
+        figures
     }
 
-    /// Evaluates every power and event figure under `conditions`, reusing
-    /// the vectors' storage.
+    /// Evaluates every power and event figure of the schedule and
+    /// `workload` with `model` under `conditions`, reusing the vectors'
+    /// storage — the one pricing function every cache goes through.
+    /// `known` is a block already priced from an equal model under the
+    /// same conditions: the power of each mode it priced is taken from it
+    /// instead of evaluated again, which gives the same bits.
     fn price(
         &mut self,
-        architecture: &Architecture,
+        model: &BlockPowerModel,
+        workload: &Workload,
         conditions: &WorkingConditions,
-    ) -> Result<(), CoreError> {
-        let plan = architecture.plan(&self.name)?;
-        let model = architecture.database().block(&self.name)?;
-        self.rest_power = model.power(self.schedule.rest_mode(), conditions);
+        known: Option<&BlockFigures>,
+    ) {
+        let power = |mode| {
+            known
+                .and_then(|known| known.priced_power(mode))
+                .unwrap_or_else(|| model.power(mode, conditions))
+        };
+        self.rest_power = power(self.schedule.rest_mode());
         self.phase_powers.clear();
-        self.phase_powers.extend(
-            self.schedule
-                .phases()
-                .iter()
-                .map(|phase| model.power(phase.mode, conditions)),
-        );
+        self.phase_powers
+            .extend(self.schedule.phases().iter().map(|phase| power(phase.mode)));
         self.event_contributions.clear();
         self.event_contributions.extend(
-            plan.workload()
+            workload
                 .iter()
                 .filter_map(|(kind, count)| Some(model.event_energy(kind, conditions)? * count)),
         );
-        Ok(())
+    }
+
+    /// The power this block was priced at in `mode`, if its schedule
+    /// uses that mode.
+    fn priced_power(&self, mode: OperatingMode) -> Option<PowerBreakdown> {
+        if mode == self.schedule.rest_mode() {
+            return Some(self.rest_power);
+        }
+        self.schedule
+            .phases()
+            .iter()
+            .zip(&self.phase_powers)
+            .find(|(phase, _)| phase.mode == mode)
+            .map(|(_, power)| *power)
     }
 
     /// The block's energy over one round of `period`, split dynamic and
@@ -299,7 +330,7 @@ impl SpeedMemo {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EvalCache {
-    architecture: Arc<Architecture>,
+    source: BlockSource,
     conditions: WorkingConditions,
     wheel: Wheel,
     blocks: Vec<BlockFigures>,
@@ -307,6 +338,30 @@ pub struct EvalCache {
     /// sweep hot path allocation- and lock-free (pinned by
     /// `tests/cold_kernel_allocations.rs`).
     memo: Option<Arc<SpeedMemo>>,
+}
+
+/// Where a cache's blocks come from: the architecture's plans, and its
+/// power models unless a Monte Carlo draw replaced them.
+#[derive(Debug, Clone)]
+struct BlockSource {
+    architecture: Arc<Architecture>,
+    /// A draw's varied models, aligned with the cache's blocks.
+    varied: Option<Arc<[BlockPowerModel]>>,
+}
+
+impl BlockSource {
+    /// Block `index`'s model; `name` is that block's name.
+    fn model(&self, index: usize, name: &str) -> Result<&BlockPowerModel, CoreError> {
+        match &self.varied {
+            Some(models) => Ok(&models[index]),
+            None => Ok(self.architecture.database().block(name)?),
+        }
+    }
+
+    /// The workload `name`'s plan performs per round.
+    fn workload(&self, name: &str) -> Result<&Workload, CoreError> {
+        Ok(self.architecture.plan(name)?.workload())
+    }
 }
 
 impl EvalCache {
@@ -317,19 +372,75 @@ impl EvalCache {
     ///
     /// Propagates lookup errors for malformed architectures.
     pub fn new(scenario: &Scenario) -> Result<Self, CoreError> {
-        let architecture = scenario.architecture_arc();
-        let conditions = scenario.conditions();
-        let blocks = architecture
+        let source = BlockSource {
+            architecture: scenario.architecture_arc(),
+            varied: None,
+        };
+        Self::priced(source, scenario.conditions(), *scenario.wheel(), None)
+    }
+
+    /// The cache of `architecture` under this cache's conditions and
+    /// wheel, as [`Self::new`] would build it for this scenario with only
+    /// the node swapped.
+    pub(crate) fn derive(&self, architecture: Arc<Architecture>) -> Result<Self, CoreError> {
+        let source = BlockSource {
+            architecture,
+            varied: None,
+        };
+        Self::priced(source, self.conditions, self.wheel, Some(self))
+    }
+
+    /// This cache with every block's model replaced by `models` (one per
+    /// block, in block order): a Monte Carlo draw's silicon, priced
+    /// without copying the architecture.
+    pub(crate) fn vary(&self, models: Vec<BlockPowerModel>) -> Result<Self, CoreError> {
+        let source = BlockSource {
+            architecture: Arc::clone(&self.source.architecture),
+            varied: Some(models.into()),
+        };
+        Self::priced(source, self.conditions, self.wheel, Some(self))
+    }
+
+    /// Prices every block of `source` under `conditions`, in block order.
+    /// A block whose model equals `template`'s model of the same name
+    /// takes the powers priced there instead of evaluating them again;
+    /// only its schedule and workload figures are its own.
+    fn priced(
+        source: BlockSource,
+        conditions: WorkingConditions,
+        wheel: Wheel,
+        template: Option<&Self>,
+    ) -> Result<Self, CoreError> {
+        let blocks = source
+            .architecture
             .block_names()
-            .map(|name| BlockFigures::new(&architecture, name, &conditions))
+            .enumerate()
+            .map(|(index, name)| {
+                let plan = source.architecture.plan(name)?;
+                let model = source.model(index, name)?;
+                let known = template.and_then(|template| template.priced_block(name, model));
+                Ok(BlockFigures::new(name, plan, model, &conditions, known))
+            })
             .collect::<Result<_, CoreError>>()?;
         Ok(Self {
-            architecture,
+            source,
             conditions,
-            wheel: *scenario.wheel(),
+            wheel,
             blocks,
             memo: None,
         })
+    }
+
+    /// The figures of block `name`, if they were priced from a model equal
+    /// to `model`.
+    fn priced_block(&self, name: &str, model: &BlockPowerModel) -> Option<&BlockFigures> {
+        let (index, figures) = self
+            .blocks
+            .iter()
+            .enumerate()
+            .find(|(_, figures)| figures.name == name)?;
+        let priced = self.source.model(index, name).ok()?;
+        (priced == model).then_some(figures)
     }
 
     /// Re-prices every block under `conditions` in place — what a drifting
@@ -337,10 +448,13 @@ impl EvalCache {
     /// drops the memo, whose figures belonged to the old conditions.
     pub(crate) fn reprice(&mut self, conditions: WorkingConditions) {
         self.conditions = conditions;
-        for figures in &mut self.blocks {
-            figures
-                .price(&self.architecture, &conditions)
-                .expect("figures were built from this architecture");
+        for (index, figures) in self.blocks.iter_mut().enumerate() {
+            let model = self.source.model(index, &figures.name);
+            let workload = self.source.workload(&figures.name);
+            let (Ok(model), Ok(workload)) = (model, workload) else {
+                unreachable!("figures were built from this source");
+            };
+            figures.price(model, workload, &conditions, None);
         }
         self.memo = None;
     }
@@ -483,16 +597,12 @@ impl EvalCache {
     #[must_use]
     pub fn standby_power(&self) -> Power {
         let mut total = Power::ZERO;
-        for name in self.architecture.block_names() {
-            let model = match self.architecture.database().block(name) {
-                Ok(m) => m,
-                Err(_) => continue,
+        for (index, figures) in self.blocks.iter().enumerate() {
+            let Ok(model) = self.source.model(index, &figures.name) else {
+                continue;
             };
-            let mode = if name == "pm" {
-                self.architecture
-                    .plan(name)
-                    .map(|p| p.schedule().rest_mode())
-                    .unwrap_or(OperatingMode::Sleep)
+            let mode = if figures.name == "pm" {
+                figures.schedule.rest_mode()
             } else {
                 OperatingMode::Off
             };
@@ -500,14 +610,36 @@ impl EvalCache {
         }
         total
     }
+
+    /// The nanojoules the blocks consume per round at `speed`: the block
+    /// part of [`crate::EnergyLedger`]'s `consumed_nj`, each block booked
+    /// as the ledger books it, without labelling or collecting the blocks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::RoundUndefined`] at standstill.
+    pub(crate) fn attributed_nj(&self, speed: Speed) -> Result<i64, CoreError> {
+        let period = self.round_period(speed)?;
+        Ok(self
+            .blocks
+            .iter()
+            .map(|figures| {
+                let (dynamic_nj, static_nj) = ledger::block_nj(figures.breakdown(period));
+                dynamic_nj + static_nj
+            })
+            .sum())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BreakEvenOptimizer, MonteCarlo, VariationModel, DUTY_POLICIES};
     use monityre_node::NodeConfig;
     use monityre_power::ProcessCorner;
-    use monityre_units::Temperature;
+    use monityre_units::{Temperature, Voltage};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn scenarios() -> Vec<Scenario> {
         vec![
@@ -580,6 +712,95 @@ mod tests {
             cache.standby_power().watts().to_bits(),
             fresh.standby_power().watts().to_bits()
         );
+    }
+
+    /// Every figure `cache` reports at a spread of speeds: the labelled
+    /// walk, and as bits the per-block energies and duty cycles, the
+    /// memo-free and memoized totals, the average power and the standby
+    /// power.
+    fn reported(cache: &EvalCache) -> (Vec<NodeEnergy>, Vec<u64>) {
+        let memoized = cache.clone().with_memo(64);
+        let mut nodes = Vec::new();
+        let mut bits = vec![cache.standby_power().watts().to_bits()];
+        for kmh in [6.0, 13.7, 34.5, 61.3, 99.0, 187.5] {
+            let v = Speed::from_kmh(kmh);
+            let node = cache.node_energy(v).unwrap();
+            for block in &node.blocks {
+                let single = cache.block_energy(&block.name, v).unwrap();
+                bits.extend([
+                    single.energy.dynamic.joules().to_bits(),
+                    single.energy.leakage.joules().to_bits(),
+                    single.duty_cycle.active_fraction().to_bits(),
+                ]);
+            }
+            bits.push(cache.required_per_round(v).unwrap().joules().to_bits());
+            for _ in 0..2 {
+                // The second lookup is a memo hit.
+                bits.push(memoized.required_per_round(v).unwrap().joules().to_bits());
+            }
+            bits.push(cache.average_power(v).unwrap().watts().to_bits());
+            nodes.push(node);
+        }
+        (nodes, bits)
+    }
+
+    /// `derived` reports what `fresh` does, before and after both are
+    /// re-priced at another temperature.
+    fn assert_matches_fresh(mut derived: EvalCache, mut fresh: EvalCache, what: &str) {
+        assert_eq!(reported(&derived), reported(&fresh), "{what}");
+        let cold =
+            WorkingConditions::reference().with_temperature(Temperature::from_celsius(-20.0));
+        derived.reprice(cold);
+        fresh.reprice(cold);
+        assert_eq!(reported(&derived), reported(&fresh), "{what}, re-priced");
+    }
+
+    /// A cache derived from another one — an optimizer candidate from
+    /// the baseline's, a Monte Carlo draw from the nominal one — cannot
+    /// be told apart from a fresh build of the same node.
+    #[test]
+    fn derived_caches_match_fresh_builds() {
+        let table = BreakEvenOptimizer::candidate_table();
+        let per_policy = table.len() / DUTY_POLICIES.len();
+        let conditions = [
+            WorkingConditions::reference(),
+            WorkingConditions::reference().with_temperature(Temperature::from_celsius(85.0)),
+            WorkingConditions::reference().with_corner(ProcessCorner::FastFast),
+            WorkingConditions::reference()
+                .with_corner(ProcessCorner::SlowSlow)
+                .with_supply(Voltage::from_volts(1.1)),
+        ];
+        for conditions in conditions {
+            let scenario = Scenario::builder().conditions(conditions).build();
+            let template = scenario.cache().unwrap();
+            for policy in 0..DUTY_POLICIES.len() {
+                let first = policy * per_policy;
+                for entry in [first, first + per_policy / 2, first + per_policy - 1] {
+                    let (config, architecture) = &table[entry];
+                    assert_matches_fresh(
+                        template.derive(Arc::clone(architecture)).unwrap(),
+                        scenario
+                            .with_architecture(Architecture::from_config(*config))
+                            .cache()
+                            .unwrap(),
+                        &format!("{conditions:?}, candidate {config:?}"),
+                    );
+                }
+            }
+            let mc = MonteCarlo::new(&scenario, VariationModel::reference(), 42);
+            for draw in 0..8 {
+                let models = mc.draw(&mut StdRng::seed_from_u64(draw)).unwrap();
+                let mut varied = scenario.architecture().clone();
+                for model in &models {
+                    varied.replace_block_model(model.clone()).unwrap();
+                }
+                assert_matches_fresh(
+                    template.vary(models).unwrap(),
+                    scenario.with_architecture(varied).cache().unwrap(),
+                    &format!("{conditions:?}, draw {draw}"),
+                );
+            }
+        }
     }
 
     #[test]

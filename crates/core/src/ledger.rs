@@ -23,6 +23,7 @@
 //!    construction and [`EnergyLedger::conservation_holds`] can recheck
 //!    them from the serialized form alone (the CI smoke does).
 
+use monityre_power::EnergyBreakdown;
 use monityre_units::{Energy, Speed};
 use serde::{Deserialize, Serialize};
 
@@ -36,6 +37,15 @@ const NJ_PER_J: f64 = 1e9;
 #[must_use]
 pub fn quantize_nj(energy: Energy) -> i64 {
     (energy.joules() * NJ_PER_J).round() as i64
+}
+
+/// A block's round energy as the ledger books it: dynamic and static
+/// nanojoules, each quantized on its own. [`EnergyLedger::build`] books
+/// every block through here and sums the pairs into `consumed_nj`; the
+/// optimizer's per-candidate consumed fold sums the same pairs without
+/// building a ledger, so the two agree by construction.
+pub(crate) fn block_nj(energy: EnergyBreakdown) -> (i64, i64) {
+    (quantize_nj(energy.dynamic), quantize_nj(energy.leakage))
 }
 
 /// One block's attributed share of a round, integer nanojoules.
@@ -113,11 +123,14 @@ impl EnergyLedger {
         let blocks: Vec<LedgerEntry> = node
             .blocks
             .iter()
-            .map(|block| LedgerEntry {
-                block: block.name.clone(),
-                dynamic_nj: quantize_nj(block.energy.dynamic),
-                static_nj: quantize_nj(block.energy.leakage),
-                duty: block.duty_cycle.active_fraction(),
+            .map(|block| {
+                let (dynamic_nj, static_nj) = block_nj(block.energy);
+                LedgerEntry {
+                    block: block.name.clone(),
+                    dynamic_nj,
+                    static_nj,
+                    duty: block.duty_cycle.active_fraction(),
+                }
             })
             .collect();
         let radio_retx_nj = quantize_nj(radio_extra);

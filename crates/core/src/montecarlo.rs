@@ -11,14 +11,14 @@
 //! draws can be evaluated on any [`SweepExecutor`] in any schedule and the
 //! distribution stays bit-identical to the serial run.
 
-use monityre_node::Architecture;
+use monityre_power::BlockPowerModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use monityre_units::Speed;
 
-use crate::{CoreError, EnergyBalance, Scenario, SweepExecutor};
+use crate::{CoreError, EnergyBalance, EvalCache, Scenario, SweepExecutor};
 
 /// Spread parameters of the manufacturing distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,30 +158,34 @@ impl MonteCarlo {
     }
 
     /// Draws one manufactured instance of the architecture: every block's
-    /// leakage scaled log-normally, dynamic scaled normally. The nominal
-    /// architecture is copied once and varied in place, block by block.
-    fn draw(&self, rng: &mut StdRng) -> Result<Architecture, CoreError> {
+    /// leakage scaled log-normally, dynamic scaled normally. Returns the
+    /// varied models in block order; the architecture itself is not
+    /// copied.
+    pub(crate) fn draw(&self, rng: &mut StdRng) -> Result<Vec<BlockPowerModel>, CoreError> {
         let nominal = self.scenario.architecture();
-        let mut arch = nominal.clone();
-        for name in nominal.block_names() {
-            let model = nominal.database().block(name)?;
-            let leak_factor = (standard_normal(rng) * self.variation.leakage_sigma).exp();
-            let dyn_factor = (1.0 + standard_normal(rng) * self.variation.dynamic_sigma).max(0.5);
-            let varied = model
-                .with_leakage(model.leakage().scaled(leak_factor))
-                .with_dynamic(model.dynamic().scaled(dyn_factor));
-            arch.replace_block_model(varied)?;
-        }
-        Ok(arch)
+        nominal
+            .block_names()
+            .map(|name| {
+                let model = nominal.database().block(name)?;
+                let leak_factor = (standard_normal(rng) * self.variation.leakage_sigma).exp();
+                let dyn_factor =
+                    (1.0 + standard_normal(rng) * self.variation.dynamic_sigma).max(0.5);
+                Ok(model
+                    .with_leakage(model.leakage().scaled(leak_factor))
+                    .with_dynamic(model.dynamic().scaled(dyn_factor)))
+            })
+            .collect()
     }
 
-    /// Evaluates draw `index`: an independent RNG, a varied architecture,
-    /// and the break-even of its balance (or `None` when it never crosses).
-    fn sample(&self, index: u64) -> Result<Option<Speed>, CoreError> {
+    /// Evaluates draw `index`: an independent RNG, the varied models
+    /// priced from the `nominal` cache, and the break-even of their
+    /// balance (or `None` when it never crosses).
+    fn sample(&self, nominal: &EvalCache, index: u64) -> Result<Option<Speed>, CoreError> {
         let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, index));
-        let arch = self.draw(&mut rng)?;
-        let varied = self.scenario.with_architecture(arch);
-        let break_even = EnergyBalance::new(&varied)?.break_even(
+        let cache = nominal.vary(self.draw(&mut rng)?)?;
+        // The balance's scenario still names the nominal architecture;
+        // it reads only the conditions, chain, wheel and extras from it.
+        let break_even = EnergyBalance::with_cache(&self.scenario, cache).break_even(
             Speed::from_kmh(6.0),
             Speed::from_kmh(220.0),
             108,
@@ -240,10 +244,11 @@ impl MonteCarlo {
         }
         self.variation.validate()?;
         let _span = monityre_obs::span!("mc.draws");
+        let nominal = EvalCache::new(&self.scenario)?;
         let indices: Vec<u64> = (0..n as u64).collect();
-        let Some(outcomes) =
-            executor.map_cancellable(&indices, cancelled, |_, &index| self.sample(index))
-        else {
+        let Some(outcomes) = executor.map_cancellable(&indices, cancelled, |_, &index| {
+            self.sample(&nominal, index)
+        }) else {
             return Ok(None);
         };
         let mut samples = Vec::with_capacity(n);

@@ -16,6 +16,24 @@
 //! candidate order and compared with a first-wins tie-break, so the
 //! result is bit-identical for any thread count — the same property the
 //! plain sweeps pin.
+//!
+//! A candidate costs a scan and little else:
+//!
+//! - **A shared table.** The searched configurations are constants, so
+//!   the first search of the process builds their architectures once,
+//!   in candidate order, and every later search indexes that table.
+//! - **Derived caches.** As the paper's flow re-estimates only what an
+//!   optimization step touches, a candidate's [`crate::EvalCache`] is
+//!   derived from the baseline's (`EvalCache::derive`): no swept knob
+//!   changes a power model, so each block takes the powers the baseline
+//!   priced and computes only its own schedule and workload figures.
+//! - **Consumed energy without a ledger.** Each candidate's
+//!   `consumed_nj` sums its blocks booked as an [`EnergyLedger`] books
+//!   them, plus the surcharges, which do not depend on the node and come
+//!   from the baseline's ledger. Only the winner is explained in full,
+//!   for the deltas.
+
+use std::sync::{Arc, OnceLock};
 
 use monityre_node::{Architecture, ConfigSpace, NodeConfig};
 use monityre_units::Speed;
@@ -207,13 +225,35 @@ impl BreakEvenOptimizer {
         candidates
     }
 
-    /// A candidate configuration's balance: the optimizer's scenario
-    /// with only the node architecture swapped.
-    fn candidate_balance(&self, config: &NodeConfig) -> EnergyBalance {
-        let derived = self
+    /// The searched configurations after the baseline, each with its
+    /// architecture, in candidate order: candidate `i` is entry `i - 1`.
+    /// The configurations are constants, so the first search of the
+    /// process builds their architectures and every later one shares
+    /// them.
+    pub(crate) fn candidate_table() -> &'static [(NodeConfig, Arc<Architecture>)] {
+        static TABLE: OnceLock<Vec<(NodeConfig, Arc<Architecture>)>> = OnceLock::new();
+        TABLE.get_or_init(|| {
+            Self::candidates()
+                .into_iter()
+                .flatten()
+                .map(|config| (config, Arc::new(Architecture::from_config(config))))
+                .collect()
+        })
+    }
+
+    /// A candidate's balance: the optimizer's scenario with only the node
+    /// swapped for `architecture`, its cache derived from the baseline's
+    /// priced figures.
+    fn candidate_balance(
+        &self,
+        baseline: &EnergyBalance,
+        architecture: &Arc<Architecture>,
+    ) -> Result<EnergyBalance, CoreError> {
+        let cache = baseline.cache().derive(Arc::clone(architecture))?;
+        let scenario = self
             .scenario
-            .with_architecture(Architecture::from_config(*config));
-        EnergyBalance::new(&derived).expect("reference-grid configs always build")
+            .with_shared_architecture(Arc::clone(architecture));
+        Ok(EnergyBalance::with_cache(&scenario, cache))
     }
 
     /// Runs the search over `[lo, hi]` sampled at `steps` speeds per
@@ -250,30 +290,29 @@ impl BreakEvenOptimizer {
         let baseline_kmh = baseline_break_even.map(Speed::kmh);
         // Every candidate is explained at one common speed — the
         // baseline's break-even (the operating point the search is
-        // about) or the swept midpoint when the baseline never crosses —
-        // so each candidate reports its consumption from the same build
-        // that scanned it.
+        // about) or the swept midpoint when the baseline never crosses.
         let ledger_speed_kmh = baseline_kmh.unwrap_or_else(|| (lo.kmh() + hi.kmh()) / 2.0);
         let ledger_speed = Speed::from_kmh(ledger_speed_kmh);
         let baseline_ledger = baseline.explain(ledger_speed)?;
-        let candidates = Self::candidates();
+        // The surcharges do not depend on the node, so each candidate's
+        // consumed total is its blocks' nanojoules plus the baseline's
+        // pair.
+        let surcharges_nj = baseline_ledger.radio_retx_nj + baseline_ledger.ageing_leak_nj;
+        let table = Self::candidate_table();
         let serial = SweepExecutor::serial();
-        let outcomes = executor.map_cancellable(&candidates, cancelled, |_, candidate| {
-            let Some(config) = candidate else {
-                return Ok((baseline_kmh, baseline_ledger.consumed_nj));
-            };
-            let balance = self.candidate_balance(config);
+        let outcomes = executor.map_cancellable(table, cancelled, |_, (_, architecture)| {
+            let balance = self.candidate_balance(&baseline, architecture)?;
             let break_even = balance
                 .break_even(lo, hi, steps, &serial, &|| false)
                 .expect("a never-cancelled scan always completes");
-            let consumed_nj = balance.explain(ledger_speed)?.consumed_nj;
+            let consumed_nj = balance.cache().attributed_nj(ledger_speed)? + surcharges_nj;
             Ok((break_even.map(Speed::kmh), consumed_nj))
         });
         let Some(outcomes) = outcomes else {
             return Ok(None);
         };
-        let outcomes = outcomes
-            .into_iter()
+        let outcomes = std::iter::once(Ok((baseline_kmh, baseline_ledger.consumed_nj)))
+            .chain(outcomes)
             .collect::<Result<Vec<_>, CoreError>>()?;
         // First-wins comparison in candidate order: deterministic for
         // any executor, and the baseline wins every exact tie.
@@ -286,15 +325,19 @@ impl BreakEvenOptimizer {
                 best_index = index;
             }
         }
-        let best_ledger = match &candidates[best_index] {
+        // Only the winner is explained in full.
+        let winner = best_index.checked_sub(1).map(|entry| &table[entry]);
+        let best_ledger = match winner {
             None => baseline_ledger.clone(),
-            Some(config) => self.candidate_balance(config).explain(ledger_speed)?,
+            Some((_, architecture)) => self
+                .candidate_balance(&baseline, architecture)?
+                .explain(ledger_speed)?,
         };
         Ok(Some(OptimizeReport {
             baseline_kmh,
             best_kmh: outcomes[best_index].0,
-            best: candidates[best_index].as_ref().map(CandidateConfig::of),
-            candidates: candidates.len(),
+            best: winner.map(|(config, _)| CandidateConfig::of(config)),
+            candidates: outcomes.len(),
             ledger_speed_kmh: Some(ledger_speed_kmh),
             ledger_deltas: ledger_deltas(&baseline_ledger, &best_ledger),
             candidate_consumed_nj: outcomes.iter().map(|(_, consumed)| *consumed).collect(),
@@ -443,6 +486,43 @@ mod tests {
             }
         }
         assert!(never_crossed >= 2, "the starved baseline must be covered");
+    }
+
+    /// The consumed total the search reports for a candidate — its
+    /// blocks' nanojoules plus the baseline's surcharges — equals its full
+    /// ledger's `consumed_nj` at every speed of every cold case, for the
+    /// baseline and for candidates derived from it.
+    #[test]
+    fn consumed_fold_matches_the_ledger() {
+        let table = BreakEvenOptimizer::candidate_table();
+        for seed in 1..=8 {
+            let (scenario, lo, hi, steps) = cold_case(seed);
+            let optimizer = BreakEvenOptimizer::new(&scenario);
+            let baseline = EnergyBalance::new(&scenario).unwrap();
+            let mut balances = vec![baseline.clone()];
+            for entry in [0, table.len() / 2, table.len() - 1] {
+                let architecture = &table[entry].1;
+                balances.push(
+                    optimizer
+                        .candidate_balance(&baseline, architecture)
+                        .unwrap(),
+                );
+            }
+            for speed in crate::speed_grid(lo, hi, steps) {
+                // As in the search, every candidate adds the baseline's
+                // surcharges.
+                let ledger = baseline.explain(speed).unwrap();
+                let surcharges_nj = ledger.radio_retx_nj + ledger.ageing_leak_nj;
+                for (index, balance) in balances.iter().enumerate() {
+                    assert_eq!(
+                        balance.cache().attributed_nj(speed).unwrap() + surcharges_nj,
+                        balance.explain(speed).unwrap().consumed_nj,
+                        "case {seed}, balance {index} at {} km/h",
+                        speed.kmh()
+                    );
+                }
+            }
+        }
     }
 
     fn search_reference(threads: usize) -> OptimizeReport {

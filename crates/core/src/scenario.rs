@@ -114,8 +114,14 @@ impl Scenario {
     /// chain and wheel) — how per-draw and per-level variants are spawned.
     #[must_use]
     pub fn with_architecture(&self, architecture: Architecture) -> Self {
+        self.with_shared_architecture(Arc::new(architecture))
+    }
+
+    /// [`Self::with_architecture`] around an already shared architecture,
+    /// which the derived session then shares instead of copying.
+    pub(crate) fn with_shared_architecture(&self, architecture: Arc<Architecture>) -> Self {
         Self {
-            architecture: Arc::new(architecture),
+            architecture,
             conditions: self.conditions,
             chain: Arc::clone(&self.chain),
             wheel: self.wheel,

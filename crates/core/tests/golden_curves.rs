@@ -21,9 +21,9 @@ use monityre_core::{
 };
 use monityre_harvest::{IdealBattery, Supercap};
 use monityre_node::NodeConfig;
-use monityre_power::WorkingConditions;
+use monityre_power::{ProcessCorner, WorkingConditions};
 use monityre_profile::{CompositeProfile, ExtraUrbanCycle, UrbanCycle, WltcLikeCycle};
-use monityre_units::{Duration, Speed, Temperature};
+use monityre_units::{Duration, Speed, Temperature, Voltage};
 
 /// FNV-1a 64 over a stream of 64-bit words.
 struct Fnv(u64);
@@ -131,38 +131,91 @@ fn truncation_regime_curve_is_pinned() {
     );
 }
 
-#[test]
-fn monte_carlo_draws_are_pinned() {
-    let distribution = MonteCarlo::new(&Scenario::reference(), VariationModel::reference(), 42)
+/// The hash of `MonteCarlo(scenario, reference spread, 42)`'s 64 sorted
+/// draws and its never-crossed count.
+fn monte_carlo_hash(scenario: &Scenario) -> u64 {
+    let distribution = MonteCarlo::new(scenario, VariationModel::reference(), 42)
         .break_even_distribution(64)
-        .expect("reference draws cross");
+        .expect("draws cross");
     let mut hash = Fnv::new();
     for sample in distribution.samples() {
         hash.float(sample.mps());
     }
     hash.word(distribution.never_crossed() as u64);
-    assert_pinned("Monte Carlo seed 42 x 64", hash.0, 0xe5e8_b29b_3e91_2f95);
+    hash.0
 }
 
-#[test]
-fn reference_optimize_report_is_pinned() {
-    let report = BreakEvenOptimizer::new(&Scenario::reference())
+/// The hash of the serial `OptimizeReport` JSON over `lo..hi` at `steps`.
+fn optimize_hash(scenario: &Scenario, lo_kmh: f64, hi_kmh: f64, steps: usize) -> u64 {
+    let report = BreakEvenOptimizer::new(scenario)
         .search(
-            Speed::from_kmh(5.0),
-            Speed::from_kmh(200.0),
-            48,
+            Speed::from_kmh(lo_kmh),
+            Speed::from_kmh(hi_kmh),
+            steps,
             &SweepExecutor::serial(),
             &|| false,
         )
-        .expect("reference search evaluates")
+        .expect("search evaluates")
         .expect("a never-cancelled search completes");
     let json = serde_json::to_string(&report).expect("report serializes");
     let mut hash = Fnv::new();
     hash.bytes(json.as_bytes());
+    hash.0
+}
+
+/// The slow corner at a raised 1.1 V supply: every block's power and
+/// event figure moves off the reference conditions.
+fn slow_corner_high_supply() -> Scenario {
+    Scenario::builder()
+        .conditions(
+            WorkingConditions::reference()
+                .with_corner(ProcessCorner::SlowSlow)
+                .with_supply(Voltage::from_volts(1.1)),
+        )
+        .build()
+}
+
+#[test]
+fn monte_carlo_draws_are_pinned() {
+    assert_pinned(
+        "Monte Carlo seed 42 x 64",
+        monte_carlo_hash(&Scenario::reference()),
+        0xe5e8_b29b_3e91_2f95,
+    );
+    assert_pinned(
+        "Monte Carlo seed 42 x 64, radio + ageing",
+        monte_carlo_hash(&both_axes()),
+        0x106f_9360_cc65_a629,
+    );
+    assert_pinned(
+        "Monte Carlo seed 42 x 64, ss at 1.1 V",
+        monte_carlo_hash(&slow_corner_high_supply()),
+        0x07b2_3075_ff43_6415,
+    );
+}
+
+#[test]
+fn reference_optimize_report_is_pinned() {
     assert_pinned(
         "reference OptimizeReport JSON",
-        hash.0,
+        optimize_hash(&Scenario::reference(), 5.0, 200.0, 48),
         0xc91c_11b3_4712_6739,
+    );
+}
+
+/// Cold-style ranges off the reference conditions, where a candidate's
+/// figures are derived from a baseline priced at other conditions.
+#[test]
+fn off_reference_optimize_reports_are_pinned() {
+    assert_pinned(
+        "hot, dense radio, aged OptimizeReport JSON 4.5-190 x 48",
+        optimize_hash(&hot_aged_dense_radio(), 4.5, 190.0, 48),
+        0xe028_c59e_0db9_31bd,
+    );
+    assert_pinned(
+        "ss at 1.1 V OptimizeReport JSON 4.5-190 x 48",
+        optimize_hash(&slow_corner_high_supply(), 4.5, 190.0, 48),
+        0xff9e_2e1e_c966_351b,
     );
 }
 

@@ -101,7 +101,7 @@ pub struct ReplayReport {
     /// the damage onward is discarded from replay, conservatively).
     pub stopped_early: bool,
     /// Points recorded in segments retention has since deleted, folded
-    /// back from the [`TALLY_FILE`] checkpoint (0 when retention never
+    /// back from the `alerts.ckpt` tally checkpoint (0 when retention never
     /// pruned).
     pub pruned_points: u64,
     /// Alert edges those pruned segments contributed.

@@ -11,7 +11,7 @@
 //!    collects the core evaluation spans; subsystems that need exact,
 //!    isolated counters (the serving layer's `stats` op) own private
 //!    instances of the same type;
-//! 2. a **span API** ([`span!`]/[`span`]) — lightweight timer guards that
+//! 2. a **span API** ([`span!`]/[`span()`]) — lightweight timer guards that
 //!    record wall time into a global histogram on drop, and optionally emit
 //!    one JSON line per span to a trace sink selected via the
 //!    [`TRACE_ENV_VAR`] environment variable or [`set_trace_path`] (the CLI's
@@ -100,7 +100,7 @@ pub use timeseries::{
 };
 
 /// Starts a named timer scope recording into the global registry — see
-/// [`span`]. The guard records on drop:
+/// [`span()`]. The guard records on drop:
 ///
 /// ```
 /// let _guard = monityre_obs::span!("sweep.batch");
