@@ -1394,4 +1394,82 @@ mod tests {
         let back: Response = serde_json::from_str(&json).unwrap();
         assert_eq!(back, err);
     }
+
+    /// Every key of a data tree, nested ones included.
+    fn keys(value: &Value, out: &mut Vec<String>) {
+        match value {
+            Value::Map(entries) => {
+                for (key, item) in entries {
+                    out.push(key.clone());
+                    keys(item, out);
+                }
+            }
+            Value::Seq(items) => items.iter().for_each(|item| keys(item, out)),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn design_grammar_names_every_op_code_and_field() {
+        let design = include_str!("../../../DESIGN.md");
+        let start = design
+            .find("request  := {")
+            .expect("DESIGN §7 grammar block");
+        let grammar = &design[start..start + design[start..].find("```").expect("block end")];
+        // Every field is listed and set, so a new one fails to compile
+        // here until it is added (and, through this test, documented).
+        let scenario = ScenarioSpec {
+            temp_c: Some(85.0),
+            supply_v: Some(1.1),
+            corner: Some("ss".to_owned()),
+            samples_per_round: Some(4),
+            tx_period_rounds: Some(8),
+            payload_bytes: Some(16),
+            chain_scale: Some(1.5),
+            radio_loss_prob: Some(0.2),
+            radio_retries: Some(3),
+            age_years: Some(6.0),
+        };
+        let params = Params {
+            from_kmh: Some(5.0),
+            to_kmh: Some(200.0),
+            steps: Some(24),
+            samples: Some(8),
+            seed: Some(2011),
+            cycle: Some("nedc".to_owned()),
+            repeat: Some(1),
+            cap_mf: Some(47.0),
+            cell: Some("what_if.base".to_owned()),
+            value: Some(2.0),
+            formula: Some("what_if.base * 2".to_owned()),
+            points: Some(monityre_ingest::synthetic_points(1, 1, 7, 0)),
+            vehicle: Some(1),
+            metric: Some("serve.served".to_owned()),
+            resolution: Some("1s".to_owned()),
+            range_s: Some(60),
+            speed_kmh: Some(60.0),
+        };
+        let request = Request {
+            op: Op::Ingest,
+            id: Some(1),
+            deadline_ms: Some(5_000),
+            idem: Some(11),
+            trace: Some(TraceContext::root(7)),
+            scenario,
+            params,
+        };
+        let mut names: Vec<String> = Op::ALL.iter().map(|op| op.name().to_owned()).collect();
+        names.extend(ErrorCode::ALL.iter().map(|code| code.name().to_owned()));
+        keys(&request.to_value(), &mut names);
+        keys(
+            &Response::failure(Some(1), ErrorCode::Internal, "").to_value(),
+            &mut names,
+        );
+        for name in names {
+            assert!(
+                grammar.contains(&format!("\"{name}\"")),
+                "DESIGN §7's grammar does not name `{name}`"
+            );
+        }
+    }
 }

@@ -31,7 +31,9 @@ use monityre_faults::{FaultKind, FaultPlan};
 use serde::Serialize as _;
 
 use crate::dedup::DedupMap;
-use crate::protocol::{ErrorCode, Op, Params, Payload, Request, Response, MAX_LINE_BYTES};
+use crate::protocol::{
+    decode_request_line, ErrorCode, Op, Params, Payload, ProtocolError, Response, MAX_LINE_BYTES,
+};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::worker::{Engine, Gate, Job, Refusal};
 
@@ -707,28 +709,23 @@ fn serve_line(
             thread::sleep(plan.delay());
         }
     }
-    let text = match std::str::from_utf8(raw) {
-        Ok(text) => text.trim_end_matches(['\n', '\r']).trim(),
-        Err(_) => {
-            stats.record_bad_request();
-            let response =
-                Response::failure(None, ErrorCode::BadRequest, "request line is not UTF-8");
-            return send_response(writer, &response, faults, frame_buf).is_ok();
-        }
+    let mut refuse = |message: String| {
+        stats.record_bad_request();
+        let response = Response::failure(None, ErrorCode::BadRequest, message);
+        send_response(writer, &response, faults, frame_buf).is_ok()
     };
-    if text.is_empty() {
-        return true; // blank keep-alive line
-    }
-    let request: Request = match serde_json::from_str(text) {
+    let request = match decode_request_line(raw) {
         Ok(request) => request,
-        Err(e) => {
-            stats.record_bad_request();
-            let response = Response::failure(
-                None,
-                ErrorCode::BadRequest,
-                format!("request does not parse: {e}"),
-            );
-            return send_response(writer, &response, faults, frame_buf).is_ok();
+        Err(ProtocolError::Empty) => return true, // blank keep-alive line
+        Err(ProtocolError::NotUtf8) => return refuse("request line is not UTF-8".to_owned()),
+        Err(ProtocolError::Malformed(detail)) => {
+            return refuse(format!("request does not parse: {detail}"));
+        }
+        // Only an unterminated last line gets here: the read loop refuses
+        // longer terminated ones before they are served.
+        Err(ProtocolError::Oversize { .. }) => {
+            refuse(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+            return false;
         }
     };
     let id = request.id;
@@ -941,6 +938,7 @@ pub fn resolve_addr(spec: &str) -> io::Result<SocketAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Request;
     use crate::Client;
 
     /// The `serve.connections` gauge as the `metrics` op exports it.

@@ -2,13 +2,15 @@
 //! TCP clients, and the four serving guarantees — bit-identity,
 //! backpressure, deadlines, graceful shutdown.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use monityre_core::SweepExecutor;
-use monityre_serve::{evaluate, Client, ErrorCode, Op, Payload, Request, Response, ServerConfig};
+use monityre_serve::{
+    evaluate, Client, ErrorCode, Op, Payload, Request, Response, ServerConfig, MAX_LINE_BYTES,
+};
 
 /// The workspace's pinned reference break-even (see
 /// `crates/core/tests/sweep_determinism.rs`); a served result must carry
@@ -271,6 +273,95 @@ fn malformed_and_invalid_requests_get_structured_errors() {
     let pong = client.request(&Request::new(Op::Ping)).expect("ping");
     assert_eq!(pong.ok, Some(Payload::Pong));
     assert!(handle.stats().bad_requests >= 3);
+    handle.shutdown();
+}
+
+/// Sends each raw line and reads the reply; a blank line gets none.
+fn replies(stream: &mut TcpStream, lines: &[&[u8]]) -> Vec<String> {
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    lines
+        .iter()
+        .filter_map(|line| {
+            stream.write_all(line).expect("send");
+            if line.iter().all(u8::is_ascii_whitespace) {
+                return None;
+            }
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reply");
+            Some(reply)
+        })
+        .collect()
+}
+
+/// The exact bytes answering each kind of bad line. Recorded from a
+/// server whose handler decoded lines on its own before the handler and
+/// `decode_request_line` shared one decoder; they must never drift.
+#[test]
+fn bad_request_lines_are_answered_byte_for_byte() {
+    let refused = |message: &str| {
+        format!(
+            "{{\"id\":null,\"ok\":null,\"error\":{{\"code\":\"bad_request\",\"message\":{}}}}}\n",
+            serde_json::to_string(message).expect("serializes")
+        )
+    };
+    let pong = |id: u64| format!("{{\"id\":{id},\"ok\":\"Pong\",\"error\":null}}\n");
+    let handle = start_default();
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let lines: [&[u8]; 12] = [
+        b"\xff\xfe{\"op\":\"ping\"}\n",
+        b"this is not json\n",
+        b"{\"op\":\"frobnicate\",\"id\":5}\n",
+        b"{\"op\":\"ping\",\"id\":\n",
+        b"{\"op\":\"ping\"} x\n",
+        b"{\"op\":\"sweep\",\"params\":{\"steps\":\"many\"}}\n",
+        b"{\"op\":\"ingest\",\"params\":{\"points\":[{\"vehicle\":1}]}}\n",
+        // A repeated key: the first copy wins, later ones only parse.
+        b"{\"op\":\"ping\",\"op\":\"nope\",\"id\":3}\n",
+        b"{\"op\":\"ping\",\"id\":4,\"id\":\"x\"}\n",
+        b"{\"op\":\"ping\",\"id\":4,\"id\":[}\n",
+        // A blank keep-alive line is not answered.
+        b"  \r\n",
+        b"{\"op\":\"ping\",\"id\":6}\r\n",
+    ];
+    let expected = [
+        refused("request line is not UTF-8"),
+        refused("request does not parse: invalid literal at offset 0"),
+        refused("request does not parse: unknown operation `frobnicate`"),
+        refused("request does not parse: unexpected end of input"),
+        refused("request does not parse: trailing characters at offset 14"),
+        refused("request does not parse: expected integer, got string"),
+        refused("request does not parse: missing field `wheel` in `TelemetryPoint`"),
+        pong(3),
+        pong(4),
+        refused("request does not parse: unexpected character `}` at offset 26"),
+        pong(6),
+    ];
+    assert_eq!(replies(&mut stream, &lines), expected);
+
+    // An oversize line is refused and the connection closed.
+    let mut oversize = vec![b'x'; MAX_LINE_BYTES + 1];
+    oversize.push(b'\n');
+    let exceeds = refused("request line exceeds 1048576 bytes");
+    assert_eq!(
+        replies(&mut stream, &[&oversize]),
+        std::slice::from_ref(&exceeds)
+    );
+    let mut rest = String::new();
+    let mut reader = BufReader::new(&stream);
+    assert_eq!(reader.read_line(&mut rest).expect("eof"), 0);
+
+    // So is an unterminated one that ends the connection.
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .write_all(&oversize[..=MAX_LINE_BYTES])
+        .expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("reply");
+    assert_eq!(reply, exceeds);
+    assert!(handle.stats().bad_requests >= 10);
     handle.shutdown();
 }
 

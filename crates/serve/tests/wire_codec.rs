@@ -11,6 +11,13 @@
 //! `skip_serializing_if` fields disappear). A substitution the type
 //! refuses to deserialize is dropped. The typed value rebuilt from the
 //! tree is then encoded both ways.
+//!
+//! The direct JSON reader (`Deserialize::read_json`, behind
+//! `serde_json::from_str`) decodes exactly as the tree path does
+//! (`from_value` of the parsed `Value`): the same value or the same error
+//! message, on the same substituted trees with the rejected substitutions
+//! kept, and on lines with repeated keys, unknown keys holding nested
+//! JSON, truncations and flipped bytes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -411,6 +418,229 @@ proptest! {
         let mut tree = String::new();
         request.scenario.to_value().write_json(&mut tree);
         prop_assert_eq!(request.scenario.cache_key(), tree);
+    }
+}
+
+/// `text` read by `T`'s direct reader alone, without the tree retry
+/// `serde_json::from_str` makes on failure.
+fn direct<T: Deserialize>(text: &str) -> Option<T> {
+    let mut reader = serde::json::Reader::new(text);
+    let value = T::read_json(&mut reader).ok()?;
+    reader.end().ok().map(|()| value)
+}
+
+/// `serde_json::from_str::<T>` gives the tree oracle's value or its exact
+/// error message, and the direct reader alone succeeds exactly when the
+/// oracle does.
+fn same_decode<T>(text: &str) -> Result<(), TestCaseError>
+where
+    T: Deserialize + PartialEq + std::fmt::Debug,
+{
+    let oracle = serde_json::from_str::<Value>(text)
+        .and_then(|tree| T::from_value(&tree).map_err(serde_json::Error::from));
+    let got = serde_json::from_str::<T>(text);
+    prop_assert_eq!(
+        got.as_ref().map_err(ToString::to_string),
+        oracle.as_ref().map_err(ToString::to_string),
+        "{}",
+        text
+    );
+    let alone = direct::<T>(text);
+    prop_assert_eq!(alone.as_ref(), oracle.as_ref().ok(), "{}", text);
+    Ok(())
+}
+
+/// The node at `path`, if it is a node (not a key).
+fn node_mut<'a>(value: &'a mut Value, path: &[Step]) -> Option<&'a mut Value> {
+    match (path.split_first(), value) {
+        (None, value) => Some(value),
+        (Some((Step::Item(i), rest)), Value::Seq(items)) => node_mut(&mut items[*i], rest),
+        (Some((Step::Value(i), rest)), Value::Map(entries)) => node_mut(&mut entries[*i].1, rest),
+        _ => None,
+    }
+}
+
+/// `tree` with every drawn substitution applied, accepted or not.
+fn substituted(tree: &Value, picks: &[(usize, usize)]) -> Value {
+    let edges = edge_values();
+    let mut tree = tree.clone();
+    for &(node, edge) in picks {
+        let mut all = Vec::new();
+        paths(&tree, &mut Vec::new(), &mut all);
+        let path = all[node % all.len()].clone();
+        replace(&mut tree, &path, &edges[edge % edges.len()]);
+    }
+    tree
+}
+
+/// The drawn map of `tree`, if it holds any.
+fn map_at(tree: &mut Value, pick: usize) -> Option<&mut Vec<(String, Value)>> {
+    let mut all = Vec::new();
+    paths(tree, &mut Vec::new(), &mut all);
+    let maps: Vec<Vec<Step>> = all
+        .into_iter()
+        .filter(|path| matches!(node_mut(tree, path), Some(Value::Map(_))))
+        .collect();
+    let path = maps.get(pick % maps.len().max(1))?;
+    match node_mut(tree, path) {
+        Some(Value::Map(entries)) => Some(entries),
+        _ => None,
+    }
+}
+
+/// A copy of a drawn entry, holding an edge value, inserted before or
+/// after it in the same map: the first or a later copy may be mistyped.
+fn with_repeated_key(tree: &Value, (map, at): (usize, usize), edge: usize) -> Option<Value> {
+    let mut tree = tree.clone();
+    let entries = map_at(&mut tree, map).filter(|entries| !entries.is_empty())?;
+    let key = entries[at % entries.len()].0.clone();
+    let edges = edge_values();
+    entries.insert(
+        at % (entries.len() + 1),
+        (key, edges[edge % edges.len()].clone()),
+    );
+    Some(tree)
+}
+
+/// Nested JSON drawn from `bytes`: sequences and maps (with escape-heavy
+/// keys) of edge values, at most four levels deep.
+fn nested(bytes: &mut impl Iterator<Item = u8>, depth: usize) -> Value {
+    let edges = edge_values();
+    match bytes.next() {
+        Some(b) if depth < 4 && b % 4 == 0 => {
+            Value::Seq((0..b % 5).map(|_| nested(bytes, depth + 1)).collect())
+        }
+        Some(b) if depth < 4 && b % 4 == 1 => Value::Map(
+            (0..b % 5)
+                .map(|i| (format!("k{i}\"é\\"), nested(bytes, depth + 1)))
+                .collect(),
+        ),
+        Some(b) => edges[usize::from(b) % edges.len()].clone(),
+        None => Value::Null,
+    }
+}
+
+fn render(tree: &Value) -> String {
+    let mut text = String::new();
+    tree.write_json(&mut text);
+    text
+}
+
+/// The response lines the differential cases start from.
+fn response_trees(base: usize, id: u64, failure: usize) -> [Value; 2] {
+    let bases = payload_bases();
+    let id = [None, Some(0), Some(u64::MAX), Some(42)][id as usize % 4];
+    let code = monityre_serve::ErrorCode::ALL[failure % 6];
+    [
+        Response::success(id, bases[base % bases.len()].clone()).to_value(),
+        Response::failure(id, code, "shed \"now\"\n").to_value(),
+    ]
+}
+
+/// Every way a line is decoded, checked against the tree oracle.
+fn decodes_like_the_tree<T>(
+    tree: &Value,
+    picks: &[(usize, usize)],
+    at: (usize, usize),
+    edge: usize,
+    junk: &[u8],
+) -> Result<(), TestCaseError>
+where
+    T: Deserialize + PartialEq + std::fmt::Debug,
+{
+    let tree = substituted(tree, picks);
+    same_decode::<T>(&render(&tree))?;
+    if let Some(repeated) = with_repeated_key(&tree, at, edge) {
+        same_decode::<T>(&render(&repeated))?;
+    }
+    let mut unknown = tree;
+    if let Some(entries) = map_at(&mut unknown, at.0) {
+        let junk = nested(&mut junk.iter().copied(), 0);
+        entries.insert(
+            at.1 % (entries.len() + 1),
+            ("zz_unknown_é".to_owned(), junk),
+        );
+        same_decode::<T>(&render(&unknown))?;
+    }
+    Ok(())
+}
+
+/// `text` with one byte replaced, when that leaves it UTF-8.
+fn flipped(text: &str, at: usize, byte: u8) -> Option<String> {
+    let mut bytes = text.as_bytes().to_vec();
+    let at = at % bytes.len();
+    bytes[at] = byte;
+    String::from_utf8(bytes).ok()
+}
+
+#[test]
+fn truncated_lines_decode_like_the_tree() {
+    let mut lines: Vec<(String, bool)> = request_bases()
+        .iter()
+        .map(|request| (serde_json::to_string(request).unwrap(), true))
+        .collect();
+    for payload in payload_bases() {
+        let line = serde_json::to_string(&Response::success(Some(1), payload.clone())).unwrap();
+        if line.len() <= 4096 {
+            lines.push((line, false));
+        }
+    }
+    for (line, is_request) in &lines {
+        for cut in (0..=line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            let text = &line[..cut];
+            if *is_request {
+                same_decode::<Request>(text).unwrap();
+            } else {
+                same_decode::<Response>(text).unwrap();
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    fn requests_decode_like_the_tree(
+        op in 0usize..Op::ALL.len(),
+        picks in picks(),
+        at in (0usize..1_000_000, 0usize..1_000_000),
+        edge in 0usize..1_000,
+        junk in prop::collection::vec(0u8..=255, 0..24),
+    ) {
+        let tree = request_bases()[op].to_value();
+        decodes_like_the_tree::<Request>(&tree, &picks, at, edge, &junk)?;
+    }
+
+    fn responses_decode_like_the_tree(
+        base in 0usize..64,
+        id in 0u64..4,
+        failure in 0usize..6,
+        picks in picks(),
+        at in (0usize..1_000_000, 0usize..1_000_000),
+        edge in 0usize..1_000,
+        junk in prop::collection::vec(0u8..=255, 0..24),
+    ) {
+        for tree in response_trees(base, id, failure) {
+            decodes_like_the_tree::<Response>(&tree, &picks, at, edge, &junk)?;
+        }
+    }
+
+    fn flipped_bytes_decode_like_the_tree(
+        op in 0usize..Op::ALL.len(),
+        base in 0usize..64,
+        at in 0usize..1_000_000,
+        byte in 0u8..=255,
+    ) {
+        let request = serde_json::to_string(&request_bases()[op]).unwrap();
+        if let Some(text) = flipped(&request, at, byte) {
+            same_decode::<Request>(&text)?;
+        }
+        let [success, failure] = response_trees(base, 0, base);
+        for tree in [success, failure] {
+            if let Some(text) = flipped(&render(&tree), at, byte) {
+                same_decode::<Response>(&text)?;
+            }
+        }
     }
 }
 
