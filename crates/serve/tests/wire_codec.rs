@@ -644,11 +644,11 @@ proptest! {
     }
 }
 
-/// A request line of `é`s in a field no type reads: the decoder builds
-/// the whole tree before the typed decode, so every string is decoded.
-/// Decoding stays linear in the non-ASCII bytes; a decoder that
-/// re-validated the rest of the input per byte would hold the
-/// connection for minutes on this one line.
+/// A request line of `é`s in a field no type reads: the direct reader
+/// steps over it with its syntax checked, and the tree path (taken on
+/// any failure) decodes it. Both stay linear in the non-ASCII bytes; a
+/// scanner that re-validated the rest of the input per byte would hold
+/// the connection for minutes on this one line.
 #[test]
 fn long_multibyte_strings_in_unknown_fields_are_served() {
     let note = "é".repeat(256 * 1024);
