@@ -1,13 +1,23 @@
-//! Criterion bench: decoding request lines as the server does, through
-//! `decode_request_line` — a 512-point telemetry-ingest batch, and a
-//! small `breakeven` query.
+//! Criterion bench: the wire codec as the server runs it. Decoding
+//! request lines through `decode_request_line` — a 512-point
+//! telemetry-ingest batch, and a small `breakeven` query — and encoding
+//! responses through `serde_json::to_string` — a 100-point `sweep` (301
+//! floats) and an `explain` ledger.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use monityre_core::SweepExecutor;
 use monityre_ingest::synthetic_points;
-use monityre_serve::{decode_request_line, Op, Request};
+use monityre_serve::{decode_request_line, evaluate, Op, Request, Response};
 
 fn line(request: &Request) -> String {
     serde_json::to_string(request).expect("serializes") + "\n"
+}
+
+/// The reference scenario's answer to `request`, as a response line's
+/// value.
+fn answer(request: &Request) -> Response {
+    let payload = evaluate(request, &SweepExecutor::serial()).expect("evaluates");
+    Response::success(request.id, payload)
 }
 
 fn bench_wire(c: &mut Criterion) {
@@ -18,6 +28,10 @@ fn bench_wire(c: &mut Criterion) {
     breakeven.scenario.temp_c = Some(85.0);
     breakeven.params.steps = Some(196);
     let breakeven = line(&breakeven);
+    let mut sweep = Request::new(Op::Sweep).with_id(3);
+    sweep.params.steps = Some(100);
+    let sweep = answer(&sweep);
+    let explain = answer(&Request::new(Op::Explain).with_id(4));
 
     let mut group = c.benchmark_group("wire");
     group.bench_function("decode_ingest_512", |b| {
@@ -25,6 +39,12 @@ fn bench_wire(c: &mut Criterion) {
     });
     group.bench_function("decode_breakeven", |b| {
         b.iter(|| std::hint::black_box(decode_request_line(breakeven.as_bytes()).unwrap()));
+    });
+    group.bench_function("encode_sweep_100", |b| {
+        b.iter(|| std::hint::black_box(serde_json::to_string(&sweep).unwrap()));
+    });
+    group.bench_function("encode_explain", |b| {
+        b.iter(|| std::hint::black_box(serde_json::to_string(&explain).unwrap()));
     });
     group.finish();
 }

@@ -333,7 +333,9 @@ pub struct EvalCache {
     source: BlockSource,
     conditions: WorkingConditions,
     wheel: Wheel,
-    blocks: Vec<BlockFigures>,
+    /// Shared between clones, so a warm cache clones without copying a
+    /// block; [`Self::reprice`] copies them on write.
+    blocks: Arc<[BlockFigures]>,
     /// Opt-in per-speed memo ([`Self::with_memo`]); `None` keeps the
     /// sweep hot path allocation- and lock-free (pinned by
     /// `tests/cold_kernel_allocations.rs`).
@@ -445,10 +447,11 @@ impl EvalCache {
 
     /// Re-prices every block under `conditions` in place — what a drifting
     /// tyre temperature costs per step instead of a fresh build — and
-    /// drops the memo, whose figures belonged to the old conditions.
+    /// drops the memo, whose figures belonged to the old conditions. The
+    /// first re-price of a clone copies the blocks it shares.
     pub(crate) fn reprice(&mut self, conditions: WorkingConditions) {
         self.conditions = conditions;
-        for (index, figures) in self.blocks.iter_mut().enumerate() {
+        for (index, figures) in Arc::make_mut(&mut self.blocks).iter_mut().enumerate() {
             let model = self.source.model(index, &figures.name);
             let workload = self.source.workload(&figures.name);
             let (Ok(model), Ok(workload)) = (model, workload) else {

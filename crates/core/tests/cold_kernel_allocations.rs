@@ -1,9 +1,11 @@
 //! The cold per-point kernel allocates nothing. A sweep point on a
 //! freshly built scenario (no per-speed memo) must fold the per-block
 //! walk straight into one `f64`: no block labels, no resolved-phase
-//! buffers, no per-block vectors. This counts heap allocations made by
-//! the calling thread, so it is exact and independent of timing and of
-//! the other tests running in parallel.
+//! buffers, no per-block vectors. Nor does cloning a warm cache, which
+//! the server does per request: the clone shares the priced blocks and
+//! the memo. This counts heap allocations made by the calling thread, so
+//! it is exact and independent of timing and of the other tests running
+//! in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,6 +120,22 @@ fn balance_point_allocates_nothing() {
             })
             .collect();
         assert!(counts.iter().all(|&c| c == 0), "{name}: {counts:?}");
+    }
+}
+
+#[test]
+fn cloning_a_warm_cache_allocates_nothing() {
+    for (name, scenario) in scenarios() {
+        let cache = scenario.cache().expect("scenario builds").with_memo(256);
+        let speed = Speed::from_kmh(60.0);
+        let energy = cache.required_per_round(speed).expect("rolling");
+        let count = allocations_in(|| {
+            let clone = std::hint::black_box(cache.clone());
+            // The clone answers from the same blocks and memo.
+            let again = clone.required_per_round(speed).expect("rolling");
+            assert_eq!(again.joules().to_bits(), energy.joules().to_bits());
+        });
+        assert_eq!(count, 0, "{name}");
     }
 }
 

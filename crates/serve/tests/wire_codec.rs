@@ -27,8 +27,8 @@ use std::time::Duration;
 
 use monityre_core::SweepExecutor;
 use monityre_serve::{
-    decode_request_line, decode_response_line, evaluate, Client, Op, Payload, Request, Response,
-    ScenarioSpec, ServerConfig, TelemetryPoint, TraceContext, MAX_LINE_BYTES,
+    decode_request_line, decode_response_line, evaluate, Client, ErrorCode, Op, Payload, Request,
+    Response, ScenarioSpec, ServerConfig, TelemetryPoint, TraceContext, MAX_LINE_BYTES,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
@@ -682,6 +682,51 @@ fn long_multibyte_strings_in_unknown_fields_are_served() {
     assert_eq!(
         decode_request_line(json.as_bytes()).expect("decodes"),
         request
+    );
+    drop(stream);
+    handle.shutdown();
+}
+
+/// A whole float in an integer field is read as that integer only inside
+/// the field's range. Beyond it the line is refused as `bad_request`, not
+/// accepted with the value saturated to `u64::MAX`.
+#[test]
+fn whole_floats_beyond_an_integer_field_are_refused() {
+    let mut request = Request::new(Op::Ingest).with_id(4);
+    request.params.points = Some(points(2));
+    let line = serde_json::to_string(&request).expect("serializes");
+    let spelled = |ts: &str| {
+        let edited = line.replacen("\"ts_us\":0,", &format!("\"ts_us\":{ts},"), 1);
+        assert_ne!(edited, line, "the first point's timestamp is 0");
+        edited + "\n"
+    };
+
+    let in_range = decode_request_line(spelled("1e15").as_bytes()).expect("decodes");
+    let ts = in_range.params.points.as_ref().map(|p| p[0].ts_us);
+    assert_eq!(ts, Some(1_000_000_000_000_000));
+
+    let too_big = spelled("1e30");
+    let err = decode_request_line(too_big.as_bytes()).expect_err("out of range");
+    assert!(err.to_string().contains("integer out of range"), "{err}");
+
+    let handle = ServerConfig {
+        scrape_interval_us: 0,
+        profile_interval_us: 0,
+        ..ServerConfig::default()
+    }
+    .start()
+    .expect("bind loopback");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.write_all(too_big.as_bytes()).expect("send");
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("reply");
+    let response = decode_response_line(reply.as_bytes()).expect("a response line");
+    assert_eq!(
+        response.error_code(),
+        Some(ErrorCode::BadRequest),
+        "{reply}"
     );
     drop(stream);
     handle.shutdown();
