@@ -1,7 +1,8 @@
 //! Criterion bench: energy-balance sweep throughput (the FIG2 workload),
 //! serial and on the parallel sweep executor, beside the early-stopping
 //! break-even scan over the same grids — and the per-scenario costs a
-//! cold query pays around them: the balance build, Monte Carlo draws and
+//! cold query pays around them: the balance build, a cold served
+//! `balance` (cache build plus a memo-free sweep), Monte Carlo draws and
 //! optimizer candidates (the in-process counterparts of perfbench's
 //! `core.scenario.build_us`, `core.montecarlo.us_per_draw` and
 //! `core.optimizer.us_per_candidate`).
@@ -67,6 +68,21 @@ fn bench_balance(c: &mut Criterion) {
     // does for a scenario it has not seen.
     group.bench_function("new", |b| {
         b.iter(|| std::hint::black_box(EnergyBalance::new(&scenario).unwrap()));
+    });
+    // What a cold served `balance` evaluates: a fresh cache, no per-speed
+    // memo, and one serial 250-point sweep.
+    group.bench_function("served_cold_250", |b| {
+        let serial = SweepExecutor::serial();
+        b.iter(|| {
+            let cache = scenario.cache().unwrap();
+            let report = EnergyBalance::with_cache(&scenario, cache).sweep_with(
+                Speed::from_kmh(5.0),
+                Speed::from_kmh(200.0),
+                250,
+                &serial,
+            );
+            std::hint::black_box(report.break_even())
+        });
     });
     group.finish();
 }

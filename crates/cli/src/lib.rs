@@ -697,7 +697,7 @@ mod tests {
 
         let report = run_line(&format!("obs --addr {addr}")).unwrap();
         assert!(report.contains("served        1"), "{report}");
-        assert!(report.contains("speed memo"), "{report}");
+        assert!(report.contains("narrowed"), "{report}");
         assert!(report.contains("breakeven"), "{report}");
 
         let text = run_line(&format!("obs --addr {addr} --prometheus")).unwrap();

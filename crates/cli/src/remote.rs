@@ -257,10 +257,8 @@ pub(crate) fn obs(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(out, "  scenario cache:");
     let _ = writeln!(out, "    hits    {}", snapshot.cache_hits);
     let _ = writeln!(out, "    misses  {}", snapshot.cache_misses);
-    let _ = writeln!(out, "  speed memo (warm scenarios):");
-    let _ = writeln!(out, "    hits       {}", snapshot.eval_memo.hits);
-    let _ = writeln!(out, "    misses     {}", snapshot.eval_memo.misses);
-    let _ = writeln!(out, "    evictions  {}", snapshot.eval_memo.evictions);
+    let _ = writeln!(out, "  sweep executor:");
+    let _ = writeln!(out, "    narrowed  {}", snapshot.executor_narrowed);
     if snapshot.ops.is_empty() {
         let _ = writeln!(out, "  per-op latency: (no jobs served yet)");
     } else {

@@ -465,9 +465,10 @@ impl EvalCache {
     /// Attaches a bounded per-speed memo of [`Self::required_per_round`]
     /// results (total `capacity` entries across shards, FIFO eviction).
     /// A memo hit returns the identical previously computed `f64`, so
-    /// memoized and fresh figures are bit-identical by construction. The
-    /// serving layer enables this for its warm scenarios, where repeated
-    /// requests revisit the same speed grids; one-shot sweeps should not.
+    /// memoized and fresh figures are bit-identical by construction.
+    /// The server does not attach one: a cold point costs less than a
+    /// memo lookup (its shard lock, hash and shared counter), and a miss
+    /// costs several points.
     #[must_use]
     pub fn with_memo(mut self, capacity: usize) -> Self {
         self.memo = Some(Arc::new(SpeedMemo::new(capacity)));

@@ -51,6 +51,11 @@ pub const SHEET_CELLS_CUT: &str = "sheet.cells_cut";
 /// (histogram in the server's registry, exemplar-stamped).
 pub const SERVE_INGEST: &str = "serve.ingest";
 
+/// Served requests evaluated on fewer `SweepExecutor` threads than the
+/// server's ceiling, because other connections were live (per-server
+/// private registry).
+pub const SERVE_EXECUTOR_NARROWED: &str = "serve.executor.narrowed";
+
 /// Telemetry points accepted by served `ingest` batches.
 pub const SERVE_INGEST_POINTS: &str = "serve.ingest_points";
 
@@ -138,6 +143,7 @@ mod tests {
             SERVE_INGEST,
             SERVE_INGEST_POINTS,
             SERVE_INGEST_ALERTS,
+            SERVE_EXECUTOR_NARROWED,
             INGEST_DEFICIT_EVENT,
             SLO_TRANSITION_EVENT,
             INGEST_APPEND,

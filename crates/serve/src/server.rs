@@ -7,9 +7,9 @@
 //! * each **connection handler** reads line-delimited requests in
 //!   lockstep (one outstanding request per connection), with a short
 //!   read timeout so it can poll the shutdown flag, and evaluates each
-//!   request itself on the shared `SweepExecutor` once the admission
-//!   gate lets it in (at most `workers` at once, at most
-//!   `queue_capacity` more waiting, FIFO);
+//!   request itself once the admission gate lets it in (at most
+//!   `workers` at once, at most `queue_capacity` more waiting, FIFO),
+//!   on the `SweepExecutor` less one thread per other live connection;
 //! * the optional **scrape** and **profiler** threads observe the rest.
 //!
 //! Shutdown (the `shutdown` op or [`ServerHandle::shutdown`]) flips one
@@ -21,7 +21,7 @@
 use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -50,8 +50,9 @@ pub struct ServerConfig {
     pub bind: String,
     /// Concurrent evaluations (clamped to ≥ 1).
     pub workers: usize,
-    /// Threads of the shared `SweepExecutor`; 0 means
+    /// The most `SweepExecutor` threads one request evaluates on; 0 means
     /// [`SweepExecutor::available`] (which honours `MONITYRE_THREADS`).
+    /// Each other live connection takes one thread off a request's share.
     pub threads: usize,
     /// Evaluation requests that may wait for a slot (clamped to ≥ 1);
     /// excess load is shed with `queue_full`.
@@ -199,6 +200,7 @@ impl ServerConfig {
             handlers: Mutex::new(Vec::new()),
             engine: Engine {
                 executor,
+                live: AtomicUsize::new(0),
                 lru: crate::worker::ScenarioLru::new(self.cache_capacity),
                 stats: Arc::new(Stats::new()),
                 dedup: DedupMap::new(self.dedup_capacity),
@@ -310,22 +312,13 @@ impl Shared {
             .set(clamp(self.gate.capacity()));
         registry
             .gauge("serve.connections")
-            .set(clamp(self.live_connections()));
+            .set(clamp(self.engine.live.load(Ordering::SeqCst)));
         registry
             .gauge("serve.lru_entries")
             .set(clamp(self.engine.lru.len()));
         registry
             .gauge("serve.dedup_entries")
             .set(clamp(self.engine.dedup.len()));
-        let memo = self.engine.lru.memo_counts();
-        let memo_gauge = |name: &str, value: u64| {
-            registry
-                .gauge(name)
-                .set(i64::try_from(value).unwrap_or(i64::MAX));
-        };
-        memo_gauge("serve.memo_hits", memo.hits);
-        memo_gauge("serve.memo_misses", memo.misses);
-        memo_gauge("serve.memo_evictions", memo.evictions);
         if let Ok(ingest) = self.engine.ingest.lock() {
             registry
                 .gauge("serve.ingest_vehicles")
@@ -411,16 +404,6 @@ impl Shared {
         )
     }
 
-    /// Connection handlers still running.
-    fn live_connections(&self) -> usize {
-        self.handlers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter(|handler| !handler.is_finished())
-            .count()
-    }
-
     /// Idempotent shutdown trigger: flag, gate close, acceptor poke.
     fn trigger_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
@@ -453,7 +436,7 @@ impl ServerHandle {
     /// A statistics snapshot, read directly (no wire round trip).
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.engine.snapshot()
+        self.shared.engine.stats.snapshot()
     }
 
     /// The Prometheus text exposition the `metrics` op serves, read
@@ -514,7 +497,7 @@ impl ServerHandle {
     /// statistics snapshot for the exit summary.
     pub fn wait(mut self) -> StatsSnapshot {
         self.join_all();
-        self.shared.engine.snapshot()
+        self.shared.engine.stats.snapshot()
     }
 
     fn join_all(&mut self) {
@@ -596,6 +579,7 @@ fn configure_stream(stream: &TcpStream) -> io::Result<()> {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    let _live = shared.engine.connection();
     if configure_stream(&stream).is_err() {
         return;
     }
@@ -739,7 +723,7 @@ fn serve_line(
     let _trace = request.trace.map(monityre_obs::install_context);
     let response = match request.op {
         Op::Ping => Response::success(id, Payload::Pong),
-        Op::Stats => Response::success(id, Payload::Stats(shared.engine.snapshot())),
+        Op::Stats => Response::success(id, Payload::Stats(shared.engine.stats.snapshot())),
         Op::Metrics => Response::success(id, Payload::Metrics(shared.prometheus_text())),
         Op::Dump => {
             monityre_obs::recorder::record_event("dump.requested");

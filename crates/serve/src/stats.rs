@@ -5,8 +5,8 @@
 //! tests pin exact counts). The legacy `stats` op is a thin snapshot view
 //! over that registry — its original nine wire fields keep their exact
 //! values (counters straight from the registry, percentiles from an
-//! exact-rank [`Reservoir`], never bucketed) — extended with the
-//! evaluation-cache tallies and per-op latency series. The `metrics` op
+//! exact-rank [`Reservoir`], never bucketed) — extended with per-op
+//! latency series and later counters. The `metrics` op
 //! renders the same registry (merged with the process-global span
 //! registry) as Prometheus text.
 
@@ -40,6 +40,7 @@ pub(crate) struct Stats {
     sheet_cells_cut: Arc<Counter>,
     ingest_points: Arc<Counter>,
     ingest_alerts: Arc<Counter>,
+    executor_narrowed: Arc<Counter>,
     /// Exact-rank window over recent service times: the pinned
     /// `p50_ms`/`p99_ms` wire fields must not move to bucket estimates.
     service: Reservoir,
@@ -61,6 +62,7 @@ impl Stats {
             sheet_cells_cut: counter(monityre_obs::names::SHEET_CELLS_CUT),
             ingest_points: counter(monityre_obs::names::SERVE_INGEST_POINTS),
             ingest_alerts: counter(monityre_obs::names::SERVE_INGEST_ALERTS),
+            executor_narrowed: counter(monityre_obs::names::SERVE_EXECUTOR_NARROWED),
             service: Reservoir::new(),
             registry,
         }
@@ -132,6 +134,12 @@ impl Stats {
         self.cache_misses.inc();
     }
 
+    /// A request evaluated on fewer executor threads than the ceiling,
+    /// because other connections were live.
+    pub(crate) fn record_narrowed(&self) {
+        self.executor_narrowed.inc();
+    }
+
     /// An idempotent retry was answered from the dedup map without
     /// re-executing.
     pub(crate) fn record_dedup_hit(&self) {
@@ -161,8 +169,7 @@ impl Stats {
     }
 
     /// A self-consistent (per counter; relaxed across counters) snapshot.
-    /// `eval_memo` is left zeroed here — the engine, which owns the
-    /// scenario LRU, fills it in.
+    /// `eval_memo` reads zero: served scenarios carry no per-speed memo.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let percentiles = self.service.percentiles_ms(&[0.50, 0.99]);
         let ops = self
@@ -201,6 +208,7 @@ impl Stats {
             dedup_hits: self.dedup_hits.get(),
             ingest_points: self.ingest_points.get(),
             ingest_alerts: self.ingest_alerts.get(),
+            executor_narrowed: self.executor_narrowed.get(),
         }
     }
 }
@@ -229,8 +237,8 @@ pub struct OpLatency {
 /// What the `stats` op returns: cumulative counters since start plus
 /// percentiles over the most recent service times. The first nine fields
 /// predate the metrics registry and keep their exact wire values; the
-/// tail (`eval_memo`, `ops`) is additive, with defaults so old snapshots
-/// still parse.
+/// tail (`eval_memo` onwards) is additive, with defaults so old
+/// snapshots still parse.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// Jobs evaluated and answered successfully.
@@ -251,8 +259,10 @@ pub struct StatsSnapshot {
     pub p50_ms: f64,
     /// 99th-percentile service time in milliseconds.
     pub p99_ms: f64,
-    /// Per-speed evaluation-memo tallies aggregated over the warm
-    /// scenarios currently in the LRU.
+    /// Per-speed evaluation-memo tallies. Always zero: served scenarios
+    /// are evaluated without a memo, because a cold point costs less
+    /// than a memo lookup. Kept so the wire shape and old snapshots
+    /// stay as they were.
     #[serde(default)]
     pub eval_memo: CacheCounts,
     /// Per-op latency series, sorted by op name.
@@ -268,6 +278,10 @@ pub struct StatsSnapshot {
     /// Deficit-alert edges the served ingest pipeline emitted.
     #[serde(default)]
     pub ingest_alerts: u64,
+    /// Requests evaluated on fewer executor threads than the ceiling
+    /// because other connections were live (`serve.executor.narrowed`).
+    #[serde(default)]
+    pub executor_narrowed: u64,
 }
 
 #[cfg(test)]

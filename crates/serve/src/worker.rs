@@ -10,12 +10,13 @@
 //! the loopback tests pin that down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use monityre_core::EmulatorConfig;
 use monityre_core::{
-    BreakEvenOptimizer, CacheCounts, EnergyBalance, EnergyLedger, EvalCache, MonteCarlo, Scenario,
+    BreakEvenOptimizer, EnergyBalance, EnergyLedger, EvalCache, MonteCarlo, Scenario,
     SweepExecutor, TransientEmulator, VariationModel,
 };
 use monityre_faults::{FaultKind, FaultPlan};
@@ -30,11 +31,6 @@ use crate::dedup::{Begin, DedupMap};
 use crate::protocol::{ErrorCode, Op, Payload, Request, Response, ScenarioSpec};
 use crate::stats::Stats;
 
-/// Per-warm-scenario speed-memo capacity. Repeated requests against the
-/// same spec mostly revisit the same default grids, so a few thousand
-/// distinct speeds cover the realistic working set.
-const SPEED_MEMO_CAPACITY: usize = 4096;
-
 /// A scenario with its precomputed per-block figures, shared by every job
 /// that names the same spec.
 pub(crate) struct CachedScenario {
@@ -47,18 +43,11 @@ impl CachedScenario {
         let scenario = spec
             .build()
             .map_err(|message| (ErrorCode::BadRequest, message))?;
-        // The serving layer revisits the same speed grids across requests,
-        // so warm scenarios memoize per-speed figures (bit-identically).
+        // No per-speed memo: a cold point costs less than a memo lookup.
         let cache = scenario
             .cache()
-            .map_err(|e| (ErrorCode::EvalFailed, e.to_string()))?
-            .with_memo(SPEED_MEMO_CAPACITY);
+            .map_err(|e| (ErrorCode::EvalFailed, e.to_string()))?;
         Ok(Self { scenario, cache })
-    }
-
-    /// The per-speed memo tallies of this warm scenario.
-    pub(crate) fn memo_counts(&self) -> CacheCounts {
-        self.cache.stats()
     }
 }
 
@@ -83,18 +72,6 @@ impl ScenarioLru {
     /// How many warm scenarios are currently resident.
     pub(crate) fn len(&self) -> usize {
         self.entries.lock().expect("lru lock").len()
-    }
-
-    /// The per-speed memo tallies summed over every resident scenario —
-    /// the node-wide evaluation-cache view the `stats` op reports.
-    pub(crate) fn memo_counts(&self) -> CacheCounts {
-        self.entries
-            .lock()
-            .expect("lru lock")
-            .iter()
-            .fold(CacheCounts::default(), |acc, (_, cached)| {
-                acc.merged(cached.memo_counts())
-            })
     }
 
     /// Returns the warm entry for `spec`, building (and recording a cache
@@ -262,9 +239,22 @@ pub(crate) struct Job {
     pub(crate) received: Instant,
 }
 
+/// The threads one request may evaluate on: the `ceiling` executor's,
+/// less one for each *other* live connection, and never fewer than one.
+/// Each other connection is assumed to keep a CPU busy with its own
+/// request, so helpers would only take that CPU from it; a lone
+/// connection keeps every thread.
+pub(crate) fn fanout_threads(ceiling: usize, live: usize) -> usize {
+    ceiling.saturating_sub(live.saturating_sub(1)).max(1)
+}
+
 /// What the connection handlers share for evaluation.
 pub(crate) struct Engine {
+    /// The widest executor a request may use (`threads`), narrowed per
+    /// request by [`fanout_threads`].
     pub(crate) executor: SweepExecutor,
+    /// Connection handlers running now, idle keep-alive ones included.
+    pub(crate) live: AtomicUsize,
     pub(crate) lru: ScenarioLru,
     pub(crate) stats: Arc<Stats>,
     pub(crate) dedup: DedupMap,
@@ -287,6 +277,18 @@ pub(crate) struct Engine {
     /// `energy.block.<name>.{dynamic,static}_nj` gauges every stats
     /// snapshot refreshes.
     pub(crate) last_ledger: Mutex<Option<EnergyLedger>>,
+}
+
+/// One live connection; dropping it takes the connection off
+/// [`Engine::live`].
+pub(crate) struct LiveConnection<'a> {
+    live: &'a AtomicUsize,
+}
+
+impl Drop for LiveConnection<'_> {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// The ledger the per-block gauges start from before any `explain` is
@@ -314,12 +316,23 @@ pub(crate) fn reference_sheet() -> PowerSheet {
 }
 
 impl Engine {
-    /// The full statistics snapshot: the stats registry's view plus the
-    /// evaluation-memo tallies only the scenario LRU can aggregate.
-    pub(crate) fn snapshot(&self) -> crate::stats::StatsSnapshot {
-        let mut snapshot = self.stats.snapshot();
-        snapshot.eval_memo = self.lru.memo_counts();
-        snapshot
+    /// Counts a connection as live until the returned guard drops (also
+    /// on an early return or an unwind).
+    pub(crate) fn connection(&self) -> LiveConnection<'_> {
+        self.live.fetch_add(1, Ordering::SeqCst);
+        LiveConnection { live: &self.live }
+    }
+
+    /// The executor one scenario request evaluates on, narrowed to the
+    /// CPUs no other live connection holds (see [`fanout_threads`]).
+    fn request_executor(&self) -> SweepExecutor {
+        let ceiling = self.executor.threads();
+        let threads = fanout_threads(ceiling, self.live.load(Ordering::SeqCst));
+        if threads == ceiling {
+            return self.executor;
+        }
+        self.stats.record_narrowed();
+        SweepExecutor::new(threads)
     }
 
     /// Runs one admitted job: the `queue_stall` fault decision, then
@@ -488,8 +501,9 @@ impl Engine {
             job.deadline
                 .is_some_and(|deadline| Instant::now() >= deadline)
         };
+        let executor = self.request_executor();
         let exec_start = Instant::now();
-        match run_op(&job.request, &cached, &self.executor, &cancelled) {
+        match run_op(&job.request, &cached, &executor, &cancelled) {
             Ok(Some(payload)) => {
                 let elapsed = exec_start.elapsed();
                 self.stats.record_execute(elapsed);
@@ -914,6 +928,32 @@ mod tests {
             break_even_kmh.unwrap().to_bits(),
             reference_breakeven_kmh().to_bits()
         );
+    }
+
+    #[test]
+    fn served_scenarios_carry_no_speed_memo() {
+        let cached = CachedScenario::build(&ScenarioSpec::default()).unwrap();
+        assert!(!cached.cache.has_memo());
+    }
+
+    #[test]
+    fn fanout_takes_one_thread_per_other_live_connection() {
+        for (ceiling, live, threads) in [
+            (2, 1, 2),
+            (2, 2, 1),
+            (4, 2, 3),
+            (4, 9, 1),
+            (1, 0, 1),
+            (1, 1, 1),
+            (1, 2, 1),
+            (1, 50, 1),
+        ] {
+            assert_eq!(
+                fanout_threads(ceiling, live),
+                threads,
+                "ceiling {ceiling}, {live} live"
+            );
+        }
     }
 
     #[test]
