@@ -1,28 +1,27 @@
 //! EXP-FLEET — end-to-end throughput of the deterministic K-vehicle
 //! workload generator: a seeded fleet streams telemetry batches and
 //! break-even requests at a loopback server through the retrying
-//! client, serially and fanned out, and one served `optimize` op times
-//! the break-even candidate search. Determinism is asserted on every
-//! run — the serial and fanned reports must be byte-identical — so the
+//! client, serially and fanned out, and served `optimize` ops time the
+//! break-even candidate search. Determinism is asserted on every run —
+//! every fanned report must be byte-identical to the serial one — so the
 //! recorded throughput always describes a *verified* golden fleet.
 
-use std::time::Instant;
-
-use monityre_bench::{expect, header, parse_args, record_bench, FleetBenchResult};
+use monityre_bench::{expect, header, parse_args, record_bench, secs, BenchRow};
 use monityre_fleet::{run_fleet, FleetReport, FleetRun, FleetSpec, FLEET_EVAL_STEPS};
 use monityre_serve::{Client, Op, Payload, Request, ServerConfig};
 
-/// Worker threads for the fanned pass.
+/// Worker threads for the fanned passes.
 const FAN_THREADS: usize = 4;
+/// Timed fanned passes (and timed `optimize` ops) in the recording run.
+const PASSES: usize = 5;
 
 /// Streams `run` at a fresh loopback server and times it.
 fn timed_run(run: &FleetRun) -> (f64, FleetReport) {
     let handle = ServerConfig::default().start().expect("bind loopback");
-    let start = Instant::now();
-    let report = run_fleet(handle.addr(), run).expect("fleet run");
-    let secs = start.elapsed().as_secs_f64();
+    let mut report = None;
+    let elapsed = secs(|| report = Some(run_fleet(handle.addr(), run).expect("fleet run")));
     handle.shutdown();
-    (secs, report)
+    (elapsed, report.expect("the run reported"))
 }
 
 fn main() {
@@ -32,15 +31,16 @@ fn main() {
         "deterministic fleet streaming and optimize-search throughput",
     );
 
-    let spec = if options.check || options.smoke {
+    let spec = if options.check {
         FleetSpec::reference()
     } else {
         FleetSpec::reference().with_vehicles(24).with_rounds(96)
     };
     let total = spec.total_points() as usize;
 
-    let (serial_secs, serial) = timed_run(&FleetRun::new(spec.clone()));
-    let (fanned_secs, fanned) = timed_run(&FleetRun::new(spec.clone()).with_threads(FAN_THREADS));
+    let (_, serial) = timed_run(&FleetRun::new(spec.clone()));
+    let fanned_run = FleetRun::new(spec.clone()).with_threads(FAN_THREADS);
+    let (_, fanned) = timed_run(&fanned_run);
 
     expect(
         options,
@@ -52,26 +52,29 @@ fn main() {
         "every vehicle crossed break-even in the swept range",
         serial.vehicles.iter().all(|v| v.break_even_kmh.is_some()),
     );
+    let golden = serial.canonical_json();
     expect(
         options,
         "serial and fanned fleet reports are byte-identical",
-        serial.canonical_json() == fanned.canonical_json(),
+        fanned.canonical_json() == golden,
     );
 
-    // The optimize search, timed as one served op: the worst-drawn
-    // vehicle's scenario against the full candidate grid.
+    // The optimize search, timed per served op (after an untimed first
+    // op builds the candidate table): the worst-drawn vehicle's scenario
+    // against the full candidate grid.
     let handle = ServerConfig::default().start().expect("bind loopback");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let mut request = Request::new(Op::Optimize).with_id(1);
     request.scenario = spec.vehicle(1).scenario_spec();
     request.params.steps = Some(FLEET_EVAL_STEPS);
-    let start = Instant::now();
-    let response = client.request(&request).expect("optimize");
-    let optimize_secs = start.elapsed().as_secs_f64();
-    handle.shutdown();
-    let Some(Payload::Optimize(report)) = response.ok else {
-        panic!("unexpected optimize response: {response:?}");
+    let mut serve_optimize = || {
+        let response = client.request(&request).expect("optimize");
+        let Some(Payload::Optimize(report)) = response.ok else {
+            panic!("unexpected optimize response: {response:?}");
+        };
+        report
     };
+    let report = serve_optimize();
     expect(
         options,
         "the optimizer never loses to its own baseline",
@@ -80,26 +83,36 @@ fn main() {
             _ => false,
         },
     );
-    expect(
-        options,
-        "both passes and the search made progress",
-        serial_secs > 0.0 && fanned_secs > 0.0 && optimize_secs > 0.0,
-    );
 
-    if options.check {
-        return;
+    if !options.check {
+        let candidates = report.candidates as f64;
+        let optimize = BenchRow::sampled(
+            "exp-fleet-optimize",
+            "core.optimizer",
+            "candidates/s",
+            &format!(
+                "{} candidates, {FLEET_EVAL_STEPS} steps, 1 served op",
+                report.candidates
+            ),
+            PASSES,
+            || candidates / secs(|| drop(serve_optimize())),
+        );
+        let stream = BenchRow::sampled(
+            "exp-fleet-stream",
+            "fleet",
+            "points/s",
+            &format!(
+                "{} vehicles x {} rounds = {total} pts, {FAN_THREADS} threads, fresh server per pass",
+                spec.vehicles, spec.rounds
+            ),
+            PASSES,
+            || {
+                let (elapsed, report) = timed_run(&fanned_run);
+                assert_eq!(report.canonical_json(), golden, "fanned report drifted");
+                total as f64 / elapsed
+            },
+        );
+        record_bench("BENCH_fleet.json", vec![optimize, stream]);
     }
-
-    let best_secs = serial_secs.min(fanned_secs);
-    record_bench(FleetBenchResult {
-        name: "exp-fleet-stream".to_owned(),
-        vehicles: spec.vehicles as usize,
-        rounds: spec.rounds as usize,
-        points: total,
-        threads: FAN_THREADS,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        vehicles_per_sec: spec.vehicles as f64 / best_secs,
-        points_per_sec: total as f64 / best_secs,
-        optimize_candidates_per_sec: report.candidates as f64 / optimize_secs,
-    });
+    handle.shutdown();
 }

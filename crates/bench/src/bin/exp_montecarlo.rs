@@ -5,7 +5,8 @@
 //! serial one; the harness also records the draw throughput.
 
 use monityre_bench::{
-    expect, header, measure_sweep, parse_args, record_bench, reference_scenario, BENCH_THREADS,
+    expect, header, parse_args, record_bench, reference_scenario, secs, BenchRow, Pairing,
+    BENCH_THREADS, EXECUTOR_LAYER,
 };
 use monityre_core::report::Table;
 use monityre_core::{MonteCarlo, SweepExecutor, VariationModel};
@@ -74,11 +75,47 @@ fn main() {
 
     // Throughput of the draw batch (each draw re-sweeps the balance),
     // serial vs parallel.
-    let result = measure_sweep("exp-mc-draws", SAMPLES, 1, 3, |executor| {
-        let timed = mc
-            .break_even_distribution_with(SAMPLES, executor)
-            .expect("distribution samples");
-        assert!(timed.yield_at(Speed::from_kmh(45.0)) > 0.0);
-    });
-    record_bench(result);
+    let serial = SweepExecutor::serial();
+    let parallel = SweepExecutor::new(BENCH_THREADS);
+    let rate = |executor: &SweepExecutor| {
+        SAMPLES as f64
+            / secs(|| {
+                let timed = mc
+                    .break_even_distribution_with(SAMPLES, executor)
+                    .expect("distribution samples");
+                assert!(timed.yield_at(Speed::from_kmh(45.0)) > 0.0);
+            })
+    };
+    const RUNS: usize = 10;
+    let threads = format!("{SAMPLES} draws, {BENCH_THREADS} threads");
+    record_bench(
+        "BENCH_sweep.json",
+        vec![
+            BenchRow::sampled(
+                "exp-mc-draws.serial",
+                "core.montecarlo",
+                "draws/s",
+                &format!("{SAMPLES} draws, serial"),
+                RUNS,
+                || rate(&serial),
+            ),
+            BenchRow::sampled(
+                "exp-mc-draws.parallel",
+                "core.montecarlo",
+                "draws/s",
+                &threads,
+                RUNS,
+                || rate(&parallel),
+            ),
+            BenchRow::paired(
+                "exp-mc-draws.speedup",
+                EXECUTOR_LAYER,
+                &format!("{threads} over serial"),
+                RUNS,
+                Pairing::Ratio,
+                || rate(&parallel),
+                || rate(&serial),
+            ),
+        ],
+    );
 }

@@ -4,15 +4,15 @@
 //! incremental edit vs value cutoff).
 //!
 //! Modes:
-//! - default: the power-database ripple table, then the full-size
-//!   recalculation benchmark recorded into `BENCH_sheet.json`.
+//! - default: the power-database ripple table, then the recalculation
+//!   benchmark recorded into `BENCH_sheet.json`.
 //! - `--check`: assert the qualitative shape without touching any file.
-//! - `--smoke`: a scaled-down benchmark pass that still writes
-//!   `BENCH_sheet.json` and asserts the recorded schema — the CI guard.
+
+use std::cell::{Cell, RefCell};
 
 use monityre_bench::{
-    bench_path, expect, header, parse_args, points_per_sec, record_bench, reference_fixture,
-    HarnessOptions, SheetBenchResult,
+    expect, header, parse_args, record_bench, reference_fixture, secs, BenchRow, HarnessOptions,
+    Pairing,
 };
 use monityre_core::report::Table;
 use monityre_sheet::{PowerSheet, Sheet};
@@ -59,54 +59,97 @@ fn build_workbook(width: usize, depth: usize) -> Sheet {
     sheet
 }
 
-/// Times full rebuilds and incremental edits over the workbook shape and
-/// returns the row.
-fn measure_recalc(
-    width: usize,
-    depth: usize,
-    edits: usize,
-    batches: usize,
-    reps: usize,
-) -> SheetBenchResult {
-    let mut sheet = build_workbook(width, depth);
-    sheet.compile().expect("graph builds");
-    let formulas = depth * width + 2 * width;
-    let cells = sheet.len();
+/// Synthetic workbook shape: literal width and formula layers.
+const WIDTH: usize = 256;
+const DEPTH: usize = 4;
+/// Incremental literal edits per timed pass.
+const EDITS: usize = 64;
+/// Full rebuilds per timed pass.
+const BATCHES: usize = 2;
+/// Timed passes (and rebuild/edit pairs) per row.
+const SAMPLES: usize = 31;
 
-    let full = points_per_sec(formulas * batches, reps, || {
-        for _ in 0..batches {
-            sheet.recompute_all().expect("rebuild succeeds");
-        }
-    });
-
+/// Times full rebuilds and incremental edits over the synthetic workbook
+/// and returns the rows.
+fn measure_recalc(options: HarnessOptions) -> Vec<BenchRow> {
+    let sheet = RefCell::new(build_workbook(WIDTH, DEPTH));
+    sheet.borrow_mut().compile().expect("graph builds");
+    let formulas = DEPTH * WIDTH + 2 * WIDTH;
+    let input = format!(
+        "{} cells ({formulas} formulas), serial",
+        sheet.borrow().len()
+    );
+    let rebuilds_per_sec = || {
+        let mut sheet = sheet.borrow_mut();
+        BATCHES as f64
+            / secs(|| {
+                for _ in 0..BATCHES {
+                    sheet.recompute_all().expect("rebuild succeeds");
+                }
+            })
+    };
     // Monotonic tick so every edit really changes the literal — a
     // repeated value would be a bit-equal early exit, measuring the
     // cutoff instead of propagation.
-    let mut tick = 0u64;
-    let cuts_before = sheet.cutoff_count();
-    let incremental = points_per_sec(edits, reps, || {
-        for _ in 0..edits {
-            tick += 1;
-            sheet
-                .set_number("l0c0", 1.0 + tick as f64 * 1e-6)
-                .expect("edit propagates");
-        }
-    });
-    let cutoff_cut_cells = sheet.cutoff_count() - cuts_before;
+    let tick = Cell::new(0u64);
+    let cuts = RefCell::new(Vec::new());
+    let edits_per_sec = || {
+        let mut sheet = sheet.borrow_mut();
+        let before = sheet.cutoff_count();
+        let rate = EDITS as f64
+            / secs(|| {
+                for _ in 0..EDITS {
+                    tick.set(tick.get() + 1);
+                    sheet
+                        .set_number("l0c0", 1.0 + tick.get() as f64 * 1e-6)
+                        .expect("edit propagates");
+                }
+            });
+        cuts.borrow_mut()
+            .push((sheet.cutoff_count() - before) as f64);
+        rate
+    };
 
-    let full_rebuilds_per_sec = full / formulas as f64;
-    SheetBenchResult {
-        name: "sheet-recalc".to_owned(),
-        cells,
-        formulas,
-        edits,
-        batches,
-        cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        full_cells_per_sec: full,
-        incremental_edits_per_sec: incremental,
-        incremental_speedup: incremental / full_rebuilds_per_sec,
-        cutoff_cut_cells,
-    }
+    let full = BenchRow::sampled(
+        "sheet-recalc.full",
+        "sheet.recompute",
+        "cells/s",
+        &format!("{input}, {BATCHES} rebuilds per pass"),
+        SAMPLES,
+        || rebuilds_per_sec() * formulas as f64,
+    );
+    let incremental = BenchRow::sampled(
+        "sheet-recalc.incremental",
+        "sheet.recompute",
+        "edits/s",
+        &format!("{input}, {EDITS} single-literal edits per pass"),
+        SAMPLES,
+        edits_per_sec,
+    );
+    // How many incremental edits fit in the time of one full rebuild.
+    let speedup = BenchRow::paired(
+        "sheet-recalc.incremental-speedup",
+        "sheet.recompute",
+        &format!("{input}, edits per full rebuild"),
+        SAMPLES,
+        Pairing::Ratio,
+        edits_per_sec,
+        rebuilds_per_sec,
+    );
+    // Every edit pass above, sampled and paired alike.
+    let cut = BenchRow::from_values(
+        "sheet-recalc.cutoff",
+        "sheet.recompute",
+        "count",
+        &format!("{input}, cells cut per {EDITS} edits"),
+        cuts.take(),
+    );
+    expect(
+        options,
+        "incremental edits beat a full rebuild 10x",
+        speedup.median >= 10.0,
+    );
+    vec![cut, full, incremental, speedup]
 }
 
 /// The structural `--check` assertions over a small workbook: leveled
@@ -135,56 +178,6 @@ fn check_engine(options: HarnessOptions) {
         "value cutoff stops saturated clamps mid-graph",
         last.evaluated > 0 && last.cut > 0,
     );
-}
-
-fn run_benchmark(options: HarnessOptions) {
-    let (width, depth, edits, batches, reps) = if options.smoke {
-        (32, 3, 16, 1, 1)
-    } else {
-        (256, 4, 64, 2, 3)
-    };
-    let row = measure_recalc(width, depth, edits, batches, reps);
-    if !options.smoke {
-        expect(
-            options,
-            "incremental edits beat a full rebuild 10x",
-            row.incremental_speedup >= 10.0,
-        );
-    }
-    record_bench(row);
-
-    if options.smoke {
-        let text = std::fs::read_to_string(bench_path::<SheetBenchResult>())
-            .expect("BENCH_sheet.json exists");
-        let rows: Vec<SheetBenchResult> =
-            serde_json::from_str(&text).expect("BENCH_sheet.json parses");
-        expect(
-            options,
-            "BENCH_sheet.json carries the serial sheet-recalc row",
-            rows.iter().any(|r| r.name == "sheet-recalc"),
-        );
-        expect(
-            options,
-            "rows are self-describing (cells, formulas, batches, cpus)",
-            rows.iter().all(|r| {
-                r.cells > r.formulas
-                    && r.formulas > 0
-                    && r.edits > 0
-                    && r.batches >= 1
-                    && r.cpus >= 1
-            }),
-        );
-        expect(
-            options,
-            "throughput and cutoff counters are live",
-            rows.iter().all(|r| {
-                r.full_cells_per_sec > 0.0
-                    && r.incremental_edits_per_sec > 0.0
-                    && r.incremental_speedup > 0.0
-                    && r.cutoff_cut_cells > 0
-            }),
-        );
-    }
 }
 
 fn main() {
@@ -258,5 +251,5 @@ fn main() {
     );
     println!();
 
-    run_benchmark(options);
+    record_bench("BENCH_sheet.json", measure_recalc(options));
 }

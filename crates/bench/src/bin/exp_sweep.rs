@@ -12,8 +12,8 @@
 //! < 2 % apiece).
 
 use monityre_bench::{
-    best_overhead, expect, expect_timing, header, parse_args, points_per_sec, record_bench,
-    reference_scenario, ObsBenchResult,
+    expect, expect_timing, header, parse_args, record_overheads, reference_scenario, secs,
+    BenchRow, Pairing,
 };
 use monityre_core::{EnergyBalance, SweepExecutor};
 use monityre_units::Speed;
@@ -23,9 +23,9 @@ const POINTS: usize = 196;
 /// Replicated batches per timed pass. A pass must run tens of
 /// milliseconds so the on/off comparison measures the spans, not the
 /// timer noise of a sub-millisecond pass.
-const BATCHES: usize = 200;
-/// Timing repetitions; the best pass is kept.
-const REPS: usize = 5;
+const BATCHES: usize = 1000;
+/// On/off pairs per axis in the recording run.
+const PAIRS: usize = 51;
 
 fn main() {
     let options = parse_args();
@@ -59,42 +59,70 @@ fn main() {
     let while_off = span_count("balance.sweep") - base;
     monityre_obs::set_enabled(true);
 
-    // A loaded single-CPU box drifts several percent between back-to-back
-    // passes; re-measuring and keeping the *least* polluted round (noise
-    // can only inflate an overhead) makes the 2 % budget assertable.
-    let rounds = if options.check { 3 } else { 6 };
-    let target_pct = if options.check { 15.0 } else { 2.0 };
+    // A loaded box drifts several percent over a run; pairing each on
+    // pass with an off pass run next to it, alternating which goes
+    // first, cancels the drift, and the median pair is the overhead.
+    let pairs = if options.check { 3 } else { PAIRS };
+    let rate = |pass: &dyn Fn()| total as f64 / secs(pass);
+    let input = format!("{POINTS} pts x {BATCHES} batches, serial");
+    let axis =
+        |name: &str, layer: &str, what: &str, on: &dyn Fn() -> f64, off: &dyn Fn() -> f64| {
+            BenchRow::paired(
+                name,
+                layer,
+                &format!("{input}; {what}"),
+                pairs,
+                Pairing::OverheadPct,
+                on,
+                off,
+            )
+        };
 
     // Axis 1 — spans enabled (the shipped default) vs fully disabled.
-    let (enabled, disabled, overhead_pct) = best_overhead(rounds, target_pct, || {
-        monityre_obs::set_enabled(true);
-        let on = points_per_sec(total, REPS, run_pass);
-        monityre_obs::set_enabled(false);
-        let off = points_per_sec(total, REPS, run_pass);
-        monityre_obs::set_enabled(true);
-        (on, off)
-    });
+    let spans = axis(
+        "balance-sweep-spans",
+        "obs.span",
+        "spans on vs off",
+        &|| {
+            monityre_obs::set_enabled(true);
+            rate(&run_pass)
+        },
+        &|| {
+            monityre_obs::set_enabled(false);
+            rate(&run_pass)
+        },
+    );
+    monityre_obs::set_enabled(true);
 
     // Axis 2 — trace context installed (every span minting and linking
     // trace ids) vs the anonymous default, spans enabled throughout.
-    let (with_context, without_context, context_pct) = best_overhead(rounds, target_pct, || {
-        let on = {
+    let context = axis(
+        "balance-sweep-context",
+        "obs.context",
+        "trace context installed vs not",
+        &|| {
             let _ctx = monityre_obs::install_context(monityre_obs::TraceContext::root(0xbe));
-            points_per_sec(total, REPS, run_pass)
-        };
-        (on, points_per_sec(total, REPS, run_pass))
-    });
+            rate(&run_pass)
+        },
+        &|| rate(&run_pass),
+    );
 
     // Axis 3 — flight-recorder rings on (the shipped default: every span
     // additionally writes one ring slot) vs off.
-    let (recorder_on, recorder_off, recorder_pct) = best_overhead(rounds, target_pct, || {
-        monityre_obs::recorder::set_recording(true);
-        let on = points_per_sec(total, REPS, run_pass);
-        monityre_obs::recorder::set_recording(false);
-        let off = points_per_sec(total, REPS, run_pass);
-        monityre_obs::recorder::set_recording(true);
-        (on, off)
-    });
+    let recorder = axis(
+        "balance-sweep-recorder",
+        "obs.recorder",
+        "flight recorder on vs off",
+        &|| {
+            monityre_obs::recorder::set_recording(true);
+            rate(&run_pass)
+        },
+        &|| {
+            monityre_obs::recorder::set_recording(false);
+            rate(&run_pass)
+        },
+    );
+    monityre_obs::recorder::set_recording(true);
 
     // Axis 4 — ledger attribution on (each batch additionally explains
     // one operating point, the shape the serve layer's per-block gauges
@@ -116,10 +144,14 @@ fn main() {
             assert!(ledger.conserved, "the ledger must conserve");
         }
     };
-    let (ledger_on, ledger_off, ledger_pct) = best_overhead(rounds, target_pct, || {
-        let on = points_per_sec(total, REPS, run_pass_with_ledger);
-        (on, points_per_sec(total, REPS, run_pass))
-    });
+    let ledger = axis(
+        "balance-sweep-ledger",
+        "core.ledger",
+        "one explain per batch vs none",
+        &|| rate(&run_pass_with_ledger),
+        &|| rate(&run_pass),
+    );
+    let rows = vec![context, ledger, recorder, spans];
 
     expect(
         options,
@@ -139,54 +171,18 @@ fn main() {
         // Debug test builds race the rest of the suite for shared CPUs, so
         // the guard only screens out catastrophic (order-of-magnitude)
         // regressions and warns unless MONITYRE_BENCH_STRICT=1; the release
-        // recording run asserts the 2 % budget.
-        for (axis, pct) in [
-            ("span", overhead_pct),
-            ("context", context_pct),
-            ("recorder", recorder_pct),
-            ("ledger", ledger_pct),
-        ] {
+        // recording run enforces the budget (`record_overheads`).
+        for row in &rows {
             expect_timing(
                 options,
-                &format!("{axis} overhead is within the noise guard (< 50 %)"),
-                pct < 50.0,
+                &format!("{} is within the noise guard (< 50 %)", row.name),
+                row.median < 50.0,
             );
         }
         return;
     }
 
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    for (name, on, off, pct) in [
-        ("balance-sweep-spans", enabled, disabled, overhead_pct),
-        (
-            "balance-sweep-context",
-            with_context,
-            without_context,
-            context_pct,
-        ),
-        (
-            "balance-sweep-recorder",
-            recorder_on,
-            recorder_off,
-            recorder_pct,
-        ),
-        ("balance-sweep-ledger", ledger_on, ledger_off, ledger_pct),
-    ] {
-        assert!(
-            pct < 2.0,
-            "{name}: observability overhead {pct:.2} % exceeds the 2 % budget \
-             (on {on:.0} pts/s vs off {off:.0} pts/s)"
-        );
-        record_bench(ObsBenchResult {
-            name: name.into(),
-            points: POINTS,
-            batches: BATCHES,
-            cpus,
-            enabled_points_per_sec: on,
-            disabled_points_per_sec: off,
-            overhead_pct: pct,
-        });
-    }
+    record_overheads("BENCH_obs.json", rows);
 }
 
 /// How many `name` spans the process-global registry has recorded so far.

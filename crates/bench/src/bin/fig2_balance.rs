@@ -2,7 +2,10 @@
 //! energy generated by the scavenger and required by the whole system,
 //! with the break-even point (Fig. 2 of the paper).
 
-use monityre_bench::{expect, header, measure_sweep, parse_args, record_bench, reference_scenario};
+use monityre_bench::{
+    expect, header, parse_args, record_bench, reference_scenario, secs, BenchRow, Pairing,
+    BENCH_THREADS, EXECUTOR_LAYER,
+};
 use monityre_core::report::{ascii_chart, Series, Table};
 use monityre_core::{speed_grid, EnergyBalance, SweepExecutor};
 use monityre_units::Speed;
@@ -91,35 +94,55 @@ fn main() {
     // replicated 64× into one pass (sustained throughput, the way corner/
     // config grids and Monte Carlo hand the executor long maps).
     let speeds = speed_grid(lo, hi, STEPS);
-    let sweep = |items: &[Speed], executor: &SweepExecutor| {
-        let points = executor.map(items, |_, &speed| {
-            balance.point(speed).expect("swept speeds are positive")
-        });
-        assert_eq!(points.len(), items.len());
-    };
-    record_bench(measure_sweep(
-        "fig2-balance-sweep-1x",
-        STEPS,
-        1,
-        200,
-        |executor| {
-            sweep(&speeds, executor);
-        },
-    ));
-    const BATCHES: usize = 64;
-    let items: Vec<Speed> = speeds
-        .iter()
-        .copied()
-        .cycle()
-        .take(STEPS * BATCHES)
-        .collect();
-    record_bench(measure_sweep(
-        "fig2-balance-sweep",
-        STEPS,
-        BATCHES,
-        10,
-        |executor| {
-            sweep(&items, executor);
-        },
-    ));
+    let serial = SweepExecutor::serial();
+    let parallel = SweepExecutor::new(BENCH_THREADS);
+    let mut rows = Vec::new();
+    for (name, batches, samples) in [
+        ("fig2-balance-sweep-1x", 1, 200),
+        ("fig2-balance-sweep", 64, 20),
+    ] {
+        let items: Vec<Speed> = speeds
+            .iter()
+            .copied()
+            .cycle()
+            .take(STEPS * batches)
+            .collect();
+        let rate = |executor: &SweepExecutor| {
+            items.len() as f64
+                / secs(|| {
+                    let points = executor.map(&items, |_, &speed| {
+                        balance.point(speed).expect("swept speeds are positive")
+                    });
+                    assert_eq!(points.len(), items.len());
+                })
+        };
+        let shape = format!("{STEPS} pts x {batches} batches");
+        let threads = format!("{shape}, {BENCH_THREADS} threads");
+        rows.push(BenchRow::sampled(
+            &format!("{name}.serial"),
+            "core.balance",
+            "points/s",
+            &format!("{shape}, serial"),
+            samples,
+            || rate(&serial),
+        ));
+        rows.push(BenchRow::sampled(
+            &format!("{name}.parallel"),
+            "core.balance",
+            "points/s",
+            &threads,
+            samples,
+            || rate(&parallel),
+        ));
+        rows.push(BenchRow::paired(
+            &format!("{name}.speedup"),
+            EXECUTOR_LAYER,
+            &format!("{threads} over serial"),
+            samples,
+            Pairing::Ratio,
+            || rate(&parallel),
+            || rate(&serial),
+        ));
+    }
+    record_bench("BENCH_sweep.json", rows);
 }

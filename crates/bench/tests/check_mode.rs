@@ -27,6 +27,7 @@ fn run_check(bin: &str) {
         "exp_faults" => env!("CARGO_BIN_EXE_exp_faults"),
         "exp_sweep" => env!("CARGO_BIN_EXE_exp_sweep"),
         "exp_ingest" => env!("CARGO_BIN_EXE_exp_ingest"),
+        "exp_fleet" => env!("CARGO_BIN_EXE_exp_fleet"),
         other => panic!("unknown harness {other}"),
     };
     let output = Command::new(path)
@@ -154,6 +155,11 @@ fn exp_sweep_check() {
 #[test]
 fn exp_ingest_check() {
     run_check("exp_ingest");
+}
+
+#[test]
+fn exp_fleet_check() {
+    run_check("exp_fleet");
 }
 
 #[test]

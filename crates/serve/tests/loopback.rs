@@ -401,6 +401,59 @@ fn stats_op_reports_counters_and_percentiles() {
     handle.shutdown();
 }
 
+/// Lockstep clients (one outstanding request per connection) that
+/// outnumber the evaluation slots never overflow the waiting room, every
+/// request counts as served, and identical scenarios share one cache
+/// build.
+#[test]
+fn lockstep_clients_share_one_scenario_and_are_never_shed() {
+    const CLIENTS: usize = 4;
+    const BATCH: usize = 16;
+    fn breakeven(id: u64) -> Request {
+        let mut request = Request::new(Op::Breakeven).with_id(id);
+        request.params.steps = Some(32);
+        request
+    }
+    let handle = start_default();
+    let addr = handle.addr();
+    // Build the scenario once before the clients race for it.
+    let warm = Client::connect(addr)
+        .expect("connect")
+        .request(&breakeven(0))
+        .expect("warm-up");
+    assert!(warm.is_ok(), "warm-up failed: {warm:?}");
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                for i in 0..BATCH {
+                    let id = 1 + (c * BATCH + i) as u64;
+                    let response = client.request(&breakeven(id)).expect("request");
+                    assert!(response.is_ok(), "request {id} failed: {response:?}");
+                    assert_eq!(response.id, Some(id));
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    let total = (CLIENTS * BATCH) as u64;
+    let stats = handle.stats();
+    assert_eq!(stats.served, total + 1, "served counts every request");
+    assert_eq!(
+        (stats.rejected, stats.timed_out),
+        (0, 0),
+        "lockstep clients never overflow the queue"
+    );
+    assert_eq!(
+        (stats.cache_misses, stats.cache_hits),
+        (1, total),
+        "the warm cache absorbed the identical scenarios"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn stats_snapshots_are_monotonic_across_requests() {
     let handle = start_default();
