@@ -3,8 +3,8 @@
 //!
 //! The fleet is a pure function of `--seed`: the same seed produces
 //! byte-identical telemetry, break-evens, and final window state on any
-//! machine at any `--threads`, which is what CI's golden-fleet check
-//! leans on (`--json` prints the canonical report bytes it diffs).
+//! machine at any `--threads`, which is what the golden-fleet tests
+//! lean on (`--json` prints the canonical report bytes they compare).
 
 use std::fmt::Write as _;
 
@@ -40,8 +40,8 @@ pub(crate) fn fleet(args: &Args) -> Result<String, CliError> {
         .with_seed(seed);
 
     // `--digest` answers without a server: print the generator's
-    // fingerprint for this spec and stop. CI compares two of these to
-    // prove the workload generator is bit-stable.
+    // fingerprint for this spec and stop; two of these match when the
+    // workload generator is bit-stable.
     if digest_only {
         let digest = spec
             .workload_digest()

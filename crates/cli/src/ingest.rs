@@ -6,8 +6,9 @@
 //! server does — and reports the reconstructed per-vehicle state. With
 //! `--json` it prints the *byte-exact* serialization of the
 //! `IngestState` payload a server over the same directory would serve,
-//! so recovery drills can diff offline replay against a live
-//! `ingest_state` response with `grep -F`.
+//! so a recovery check can find the offline replay verbatim inside a
+//! live `ingest_state` response (`crates/cli/tests/kill_replay.rs` does,
+//! after killing the server mid-ingest).
 
 use std::fmt::Write as _;
 
@@ -16,11 +17,17 @@ use monityre_serve::Payload;
 
 use crate::{Args, CliError};
 
-/// Seconds → microseconds for the `--window-s` flag.
-fn window_us_from(args: &Args) -> Result<u64, CliError> {
+/// A window flag (`--window-s`, `serve --ingest-window-s`) in
+/// microseconds: positive seconds, the ingest default when absent, and
+/// refused when the microseconds overflow `u64`.
+pub(crate) fn window_flag_us(args: &Args, name: &str) -> Result<u64, CliError> {
     let default_s = DEFAULT_WINDOW_US / 1_000_000;
-    let window_s = args.count("window-s", usize::try_from(default_s).unwrap_or(60))?;
-    Ok(window_s as u64 * 1_000_000)
+    let window_s = args.count(name, usize::try_from(default_s).unwrap_or(60))?;
+    (window_s as u64).checked_mul(1_000_000).ok_or_else(|| {
+        CliError::new(format!(
+            "flag --{name}: {window_s} s overflows u64 microseconds"
+        ))
+    })
 }
 
 /// `monityre ingest` — replay a segment directory and print the
@@ -29,7 +36,7 @@ pub(crate) fn ingest(args: &Args) -> Result<String, CliError> {
     let dir = args.text_opt("dir").ok_or_else(|| {
         CliError::new("flag --dir <path> is required (a server's --ingest-dir segment directory)")
     })?;
-    let window_us = window_us_from(args)?;
+    let window_us = window_flag_us(args, "window-s")?;
     let vehicle: Option<u64> = crate::remote::parse_opt(args, "vehicle")?;
     let json = args.flag("json");
     args.finish()?;

@@ -408,13 +408,27 @@ mod tests {
         .start()
         .expect("bind loopback");
         let addr = handle.addr();
-        let out = run_line(&format!(
-            "request --addr {addr} --op breakeven --id 7 --steps 48 \
-             --retry --retry-attempts 12 --retry-seed 9"
-        ))
-        .unwrap();
-        assert!(out.contains("\"id\":7"), "{out}");
-        assert!(out.contains("Breakeven"), "{out}");
+        for id in 1..=8 {
+            let out = run_line(&format!(
+                "request --addr {addr} --op breakeven --id {id} --steps 48 \
+                 --retry --retry-attempts 12 --retry-seed {id}"
+            ))
+            .unwrap();
+            assert!(out.contains(&format!("\"id\":{id}")), "{out}");
+            assert!(out.contains("Breakeven"), "{out}");
+        }
+        // Ledgers served through the fault plan still conserve.
+        for speed in [90, 120] {
+            let out = run_line(&format!(
+                "request --addr {addr} --explain --speed {speed} \
+                 --retry --retry-attempts 12 --retry-seed {speed}"
+            ))
+            .unwrap();
+            assert!(out.contains("\"Explain\""), "{out}");
+            assert!(out.contains("\"conserved\":true"), "{out}");
+        }
+        let stats = run_line(&format!("request --addr {addr} --op stats --retry")).unwrap();
+        assert!(stats.contains("\"served\":"), "{stats}");
         // The retry layer's metrics surface in the `obs` report's client
         // section (they live in this process's global registry).
         let report = run_line(&format!("obs --addr {addr}")).unwrap();
@@ -560,7 +574,7 @@ mod tests {
 
     /// `request --explain` is shorthand for `--op explain`, and the
     /// served payload carries byte-identical ledger bytes to the offline
-    /// `explain --json` (the CI explain-smoke contract).
+    /// `explain --json`.
     #[test]
     fn request_explain_matches_the_offline_ledger_bytes() {
         let offline = run_line("explain --speed 45 --json").unwrap();
@@ -613,7 +627,7 @@ mod tests {
 
     /// The fleet command end to end against a live server: the table
     /// reports every vehicle, and two `--json` runs against fresh
-    /// servers produce byte-identical reports (the CI golden check).
+    /// servers produce byte-identical reports.
     #[test]
     fn fleet_command_streams_a_live_server_deterministically() {
         let serve = || {
@@ -644,12 +658,48 @@ mod tests {
         let serial = golden(1);
         assert_eq!(serial, golden(2), "fleet bytes diverged across threads");
         assert!(serial.contains("\"ingest_state\""), "{serial}");
+
+        // The whole reference fleet with the optimizer on: the server
+        // stays healthy, and a second fresh server reproduces the bytes.
+        let optimized = || {
+            let handle = serve();
+            let addr = handle.addr();
+            let out = run_line(&format!(
+                "fleet --addr {addr} --threads 4 --optimize --json"
+            ))
+            .unwrap();
+            let health = run_line(&format!("request --addr {addr} --op health")).unwrap();
+            handle.shutdown();
+            assert!(health.contains("\"status\":\"ok\""), "{health}");
+            out
+        };
+        let first = optimized();
+        assert_eq!(first, optimized(), "fleet bytes diverged across servers");
+        // Every reference cycle opens with a standstill that harvests
+        // nothing, so each vehicle crosses at least one deficit edge.
+        let report: monityre_fleet::FleetReport =
+            serde_json::from_str(first.trim()).expect("fleet report parses");
+        assert_eq!(report.vehicles.len(), 6);
+        for vehicle in &report.vehicles {
+            assert!(vehicle.alerts >= 1, "{vehicle:?}");
+            assert!(vehicle.optimize.is_some(), "{vehicle:?}");
+        }
     }
 
     #[test]
     fn ingest_command_requires_a_directory() {
         let err = run_line("ingest").unwrap_err();
         assert!(err.to_string().contains("--dir"), "{err}");
+    }
+
+    /// Seconds whose microseconds overflow `u64` are refused by both
+    /// window flags before anything is opened or bound.
+    #[test]
+    fn window_flags_refuse_overflowing_seconds() {
+        let err = run_line("ingest --dir unused --window-s 18446744073710").unwrap_err();
+        assert!(err.to_string().contains("flag --window-s"), "{err}");
+        let err = run_line("serve --port 0 --ingest-window-s 18446744073710").unwrap_err();
+        assert!(err.to_string().contains("flag --ingest-window-s"), "{err}");
     }
 
     #[test]
@@ -698,6 +748,7 @@ mod tests {
         let report = run_line(&format!("obs --addr {addr}")).unwrap();
         assert!(report.contains("served        1"), "{report}");
         assert!(report.contains("narrowed"), "{report}");
+        assert!(report.contains("per-op latency"), "{report}");
         assert!(report.contains("breakeven"), "{report}");
 
         let text = run_line(&format!("obs --addr {addr} --prometheus")).unwrap();
@@ -746,6 +797,11 @@ mod tests {
             spark.chars().any(|c| ('▁'..='█').contains(&c)),
             "no blocks in {spark}"
         );
+        let spark = run_line(&format!(
+            "obs series serve.execute.p99_us --addr {addr} --sparkline"
+        ))
+        .unwrap();
+        assert!(spark.contains("serve.execute.p99_us"), "{spark}");
 
         // An unknown metric surfaces the server's structured message.
         let err = run_line(&format!("obs series no.such.metric --addr {addr}")).unwrap_err();

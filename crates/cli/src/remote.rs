@@ -74,8 +74,9 @@ pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
             FaultPlan::parse(&spec).map_err(|e| CliError::new(format!("flag --faults: {e}")))?,
         )),
     };
-    // 0 means auto (`SweepExecutor::available()`, which honours the
-    // MONITYRE_THREADS environment override); the flag itself must be ≥ 1.
+    // 0 means auto (`SweepExecutor::try_available()`, which honours the
+    // MONITYRE_THREADS environment override and makes `start` refuse a
+    // malformed one); the flag itself must be ≥ 1.
     let threads = match args.text_opt("threads") {
         None => 0,
         Some(raw) => match raw.parse::<usize>() {
@@ -96,10 +97,7 @@ pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
     // append to a crash-safe segment store there, and a restart replays
     // the directory to reconstruct the window state bit-identically.
     let ingest_dir = args.text_opt("ingest-dir");
-    let ingest_window_s = args.count(
-        "ingest-window-s",
-        usize::try_from(monityre_ingest::DEFAULT_WINDOW_US / 1_000_000).unwrap_or(60),
-    )?;
+    let ingest_window_us = crate::ingest::window_flag_us(args, "ingest-window-s")?;
     // The self-observation knobs. Absent flags keep the built-in cadences
     // (1 s scrape, ~100 Hz profiler, 5 m/1 h burn windows); an explicit
     // `0` disables that observer thread entirely.
@@ -134,7 +132,7 @@ pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
         dedup_capacity: dedup,
         faults: faults.clone(),
         ingest_dir: ingest_dir.clone().map(std::path::PathBuf::from),
-        ingest_window_us: ingest_window_s as u64 * 1_000_000,
+        ingest_window_us,
         scrape_interval_us,
         profile_interval_us,
         slo_fast_us,

@@ -21,7 +21,7 @@
 //!    attributed component and `storage_delta_nj` as
 //!    `harvested_nj − consumed_nj`, so the nanojoule books balance by
 //!    construction and [`EnergyLedger::conservation_holds`] can recheck
-//!    them from the serialized form alone (the CI smoke does).
+//!    them from the serialized form alone (the serve loopback tests do).
 
 use monityre_power::EnergyBreakdown;
 use monityre_units::{Energy, Speed};

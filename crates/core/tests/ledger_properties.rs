@@ -195,7 +195,7 @@ proptest! {
 }
 
 /// The global violation counter stays untouched by a healthy run — the
-/// same metric CI asserts is zero after the chaos matrix.
+/// same metric the chaos matrix asserts is zero.
 #[test]
 fn healthy_ledgers_do_not_bump_the_violation_counter() {
     let before = monityre_obs::Registry::global()

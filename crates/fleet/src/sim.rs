@@ -63,7 +63,7 @@ pub struct FleetSpec {
 }
 
 /// The pinned reference fleet seed: the goldens in `tests/golden.rs`,
-/// the CI `fleet-smoke` job and `exp_fleet` all stream this exact fleet.
+/// the CLI fleet test and `exp_fleet` all stream this exact fleet.
 pub const REFERENCE_SEED: u64 = 2011;
 
 impl FleetSpec {
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn reference_digest_is_pinned() {
         // The generator's fingerprint. If this changes, the fleet
-        // goldens (and the CI golden seed) change with it — bump them
+        // goldens change with it — bump them
         // together, deliberately.
         let digest = FleetSpec::reference().workload_digest().unwrap();
         assert_eq!(

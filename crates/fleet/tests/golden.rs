@@ -11,7 +11,7 @@
 //! The digest and break-even constants pinned here are the generator's
 //! fingerprint: a change to the draw order, the palettes, the energy
 //! quantization, or the served evaluation changes them, and this file
-//! must be bumped deliberately alongside the CI golden seed.
+//! must be bumped deliberately.
 
 use std::path::PathBuf;
 
@@ -19,7 +19,7 @@ use monityre_fleet::{run_fleet, FleetReport, FleetRun, FleetSpec};
 use monityre_serve::ServerConfig;
 
 /// The reference workload fingerprint (FNV-1a over the canonical point
-/// encoding). CI's `fleet-smoke` job recomputes and compares it.
+/// encoding). `monityre fleet --digest` prints it.
 const REFERENCE_DIGEST: u64 = 0xe97f_47e0_f0fc_47f5;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -51,7 +51,7 @@ fn reference_workload_digest_is_pinned() {
     assert_eq!(
         digest, REFERENCE_DIGEST,
         "the fleet generator's fingerprint moved: 0x{digest:016x} — if \
-         deliberate, bump REFERENCE_DIGEST and the CI golden seed together"
+         deliberate, bump REFERENCE_DIGEST"
     );
 }
 

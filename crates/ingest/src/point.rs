@@ -184,7 +184,8 @@ pub fn decode_prefix(buf: &[u8]) -> (Vec<TelemetryPoint>, usize) {
 /// energy is seeded splitmix64 noise in 0.8–1.2 mJ around the 1 mJ
 /// consumption, so a run hovers near break-even and the deficit edge
 /// actually exercises. Same `(vehicle, count, seed, start)` → same
-/// points, byte for byte — the CI crash drill pins a golden aggregate on
+/// points, byte for byte — the crash drill (`monityre-cli`'s
+/// `tests/kill_replay.rs`) pins a golden aggregate on
 /// exactly that.
 #[must_use]
 pub fn synthetic_points(

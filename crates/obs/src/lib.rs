@@ -18,7 +18,7 @@
 //!    `--trace-out`);
 //! 3. an **exporter** ([`RegistrySnapshot::to_prometheus`]) — Prometheus
 //!    text exposition format, served by `monityre-serve`'s `metrics` op and
-//!    scraped by CI, with per-bucket **exemplar** trace ids on traced
+//!    checked by the loopback tests, with per-bucket **exemplar** trace ids on traced
 //!    histograms so a tail bucket points at a concrete request;
 //! 4. a **trace context** ([`TraceContext`]) — a wire-propagated
 //!    (trace id, span id) pair installed per thread; every span started

@@ -69,7 +69,7 @@ pub const INGEST_DEFICIT_EVENT: &str = "ingest.deficit";
 
 /// Flight-recorder event prefix of an SLO state transition
 /// (`slo.transition.<objective>.<from>_to_<to>[.trace.<exemplar>]`);
-/// CI greps dumps for it to prove alerting fired.
+/// the observation tests look for it to prove alerting fired.
 pub const SLO_TRANSITION_EVENT: &str = "slo.transition";
 
 /// Append phase of one durable ingest batch (encode + write); a real
@@ -81,7 +81,7 @@ pub const INGEST_APPEND: &str = "ingest.append";
 pub const INGEST_FSYNC: &str = "ingest.fsync";
 
 /// Telemetry points streamed at a server by the fleet workload generator
-/// (process-global; the fleet-smoke CI job asserts it moves).
+/// (process-global).
 pub const FLEET_STREAMED: &str = "fleet.streamed";
 
 /// One vehicle's end-to-end fleet run (stream + evaluate) — span name in
@@ -90,7 +90,7 @@ pub const FLEET_VEHICLE: &str = "fleet.vehicle";
 
 /// Energy-ledger conservation violations (process-global). The ledger
 /// and the aggregate `point()` figure share one per-block walk, so
-/// nothing increments it; CI, the chaos matrix and the benchmark assert
+/// nothing increments it; the chaos matrix and the benchmark assert
 /// it reads zero.
 pub const LEDGER_CONSERVATION_VIOLATIONS: &str = "ledger.conservation_violations";
 

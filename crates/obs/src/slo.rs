@@ -99,7 +99,7 @@ impl SloSpec {
         }
     }
 
-    /// Overrides both burn windows (CI uses seconds-scale windows).
+    /// Overrides both burn windows (tests use seconds-scale windows).
     #[must_use]
     pub fn with_windows(mut self, fast_us: u64, slow_us: u64) -> Self {
         self.fast_us = fast_us;

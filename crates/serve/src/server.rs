@@ -51,7 +51,8 @@ pub struct ServerConfig {
     /// Concurrent evaluations (clamped to ≥ 1).
     pub workers: usize,
     /// The most `SweepExecutor` threads one request evaluates on; 0 means
-    /// [`SweepExecutor::available`] (which honours `MONITYRE_THREADS`).
+    /// [`SweepExecutor::try_available`] (which honours `MONITYRE_THREADS`,
+    /// and [`ServerConfig::start`] refuses a malformed value).
     /// Each other live connection takes one thread off a request's share.
     pub threads: usize,
     /// Evaluation requests that may wait for a slot (clamped to ≥ 1);
@@ -164,12 +165,15 @@ impl ServerConfig {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures, and returns `InvalidInput` for a
+    /// malformed `MONITYRE_THREADS` (when `threads` is 0) or
+    /// `MONITYRE_FAULTS` (when `faults` is `None`).
     pub fn start(self) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&self.bind)?;
         let addr = listener.local_addr()?;
         let executor = if self.threads == 0 {
-            SweepExecutor::available()
+            SweepExecutor::try_available()
+                .map_err(|message| io::Error::new(io::ErrorKind::InvalidInput, message))?
         } else {
             SweepExecutor::new(self.threads)
         };

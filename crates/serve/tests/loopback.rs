@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 
 use monityre_core::{CacheCounts, SweepExecutor};
 use monityre_serve::{
-    evaluate, Client, ErrorCode, Op, Payload, Request, Response, ServerConfig, MAX_LINE_BYTES,
+    evaluate, Client, ErrorCode, Op, Payload, Request, Response, ServerConfig, TraceContext,
+    MAX_LINE_BYTES,
 };
 
 /// The workspace's pinned reference break-even (see
@@ -494,8 +495,13 @@ fn stats_snapshots_are_monotonic_across_requests() {
 fn metrics_op_serves_prometheus_text() {
     let handle = start_default();
     let mut client = Client::connect(handle.addr()).expect("connect");
+    // A traced request, so the phase histograms carry its exemplar.
+    let trace = TraceContext {
+        trace_id: 0xe1,
+        span_id: 1,
+    };
     let response = client
-        .request(&Request::new(Op::Breakeven).with_id(1))
+        .request(&Request::new(Op::Breakeven).with_id(1).with_trace(trace))
         .expect("request");
     assert!(response.is_ok());
     let response = client
@@ -505,7 +511,10 @@ fn metrics_op_serves_prometheus_text() {
         panic!("unexpected metrics response: {response:?}");
     };
     assert!(!text.is_empty(), "exposition must not be empty");
-    assert!(text.contains("# TYPE"), "{text}");
+    assert!(
+        text.contains("# TYPE monityre_serve_served counter"),
+        "{text}"
+    );
     assert!(text.contains("monityre_serve_served 1"), "{text}");
     assert!(
         text.contains("monityre_serve_op_breakeven_seconds_count 1"),
@@ -516,16 +525,37 @@ fn metrics_op_serves_prometheus_text() {
         "{text}"
     );
     assert!(text.contains("monityre_serve_queue_capacity"), "{text}");
-    // Every non-comment line must parse as `name[{labels}] value`.
+    // Every non-comment line must parse as `name[{labels}] value`, with
+    // an optional OpenMetrics exemplar suffix ` # {trace_id="…"} value`.
     for line in text.lines() {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (name, value) = line.rsplit_once(' ').expect("name/value split");
-        assert!(!name.is_empty(), "metric name missing in {line:?}");
+        let (sample, exemplar) = line
+            .split_once(" # ")
+            .map_or((line, None), |(sample, exemplar)| (sample, Some(exemplar)));
+        let fields: Vec<&str> = sample.split(' ').collect();
+        assert_eq!(fields.len(), 2, "unparseable sample {line:?}");
+        assert!(!fields[0].is_empty(), "metric name missing in {line:?}");
         assert!(
-            value.parse::<f64>().is_ok(),
+            fields[1].parse::<f64>().is_ok(),
             "unparseable sample value in {line:?}"
+        );
+        if let Some(exemplar) = exemplar {
+            let (labels, value) = exemplar.split_once(' ').expect("exemplar value");
+            assert!(labels.starts_with("{trace_id=\""), "{line:?}");
+            assert!(value.parse::<f64>().is_ok(), "{line:?}");
+        }
+    }
+    // The traced request's id is the exemplar on the execute and
+    // queue-wait buckets, so a tail bucket points at a dump-able trace.
+    for histogram in ["execute", "queue_wait"] {
+        let bucket = format!("monityre_serve_{histogram}_seconds_bucket");
+        assert!(
+            text.lines().any(
+                |l| l.starts_with(&bucket) && l.contains(" # {trace_id=\"00000000000000e1\"} ")
+            ),
+            "no exemplar on {bucket}:\n{text}"
         );
     }
     // The handle-side exposition agrees in shape.
