@@ -7,7 +7,7 @@
 use std::thread;
 use std::time::{Duration, Instant};
 
-use monityre_obs::{SloKind, SloSpec};
+use monityre_obs::{HealthReport, SloKind, SloSpec};
 use monityre_serve::{Client, ErrorCode, Op, Payload, Request, ServerConfig};
 
 /// An observation-heavy config: scrape every 20 ms, profile at 2 ms, so
@@ -21,14 +21,30 @@ fn observing_config() -> ServerConfig {
     }
 }
 
-fn health_status(client: &mut Client) -> String {
+fn health_report(client: &mut Client) -> HealthReport {
     let response = client
         .request(&Request::new(Op::Health))
         .expect("health request");
     match response.ok.expect("health is infallible") {
-        Payload::Health(report) => report.status,
+        Payload::Health(report) => report,
         other => panic!("unexpected payload {other:?}"),
     }
+}
+
+fn health_status(client: &mut Client) -> String {
+    health_report(client).status
+}
+
+/// Names of the SLO transition events in the flight recorder.
+fn slo_transitions() -> Vec<String> {
+    monityre_obs::recorder::snapshot()
+        .into_iter()
+        .filter(|r| {
+            r.name
+                .starts_with(monityre_obs::names::SLO_TRANSITION_EVENT)
+        })
+        .map(|r| r.name.into_owned())
+        .collect()
 }
 
 /// Polls `health` until it reports `want` (or panics after `patience`).
@@ -209,14 +225,7 @@ fn health_degrades_under_a_fault_storm_and_recovers() {
     await_status(&mut client, "degraded", Duration::from_secs(8));
 
     // The storm's transition left a flight-recorder event.
-    let events: Vec<String> = monityre_obs::recorder::snapshot()
-        .into_iter()
-        .filter(|r| {
-            r.name
-                .starts_with(monityre_obs::names::SLO_TRANSITION_EVENT)
-        })
-        .map(|r| r.name.into_owned())
-        .collect();
+    let events = slo_transitions();
     assert!(
         events.iter().any(|e| e.contains("storm.ok_to_warning")),
         "{events:?}"
@@ -225,16 +234,70 @@ fn health_degrades_under_a_fault_storm_and_recovers() {
     // Recovery: the storm stops, the fast window drains, health returns
     // to ok — and the recovery transition is recorded too.
     await_status(&mut client, "ok", Duration::from_secs(10));
-    let events: Vec<String> = monityre_obs::recorder::snapshot()
-        .into_iter()
-        .filter(|r| {
-            r.name
-                .starts_with(monityre_obs::names::SLO_TRANSITION_EVENT)
-        })
-        .map(|r| r.name.into_owned())
-        .collect();
+    let events = slo_transitions();
     assert!(
         events.iter().any(|e| e.contains("storm.warning_to_ok")),
+        "{events:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn default_error_ratio_leaves_ok_under_a_deadline_storm_and_recovers() {
+    // The server's own objectives (no `slos` override), with the burn
+    // windows shortened to seconds as `serve --slo-fast-s/--slo-slow-s`
+    // would set them: the storm must trip the default `error-ratio`
+    // objective through its `serve.timed_out` term.
+    let config = ServerConfig {
+        slo_fast_us: 3_000_000,
+        slo_slow_us: 120_000_000,
+        ..observing_config()
+    };
+    let handle = config.start().expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(health_status(&mut client), "ok");
+
+    // One deadline-0 sweep at a time until readiness leaves ok — a
+    // counter delta needs the growth to span ring buckets, so the storm
+    // runs until it shows, up to 60 sweeps 250 ms apart.
+    let report = (1..=60u64)
+        .find_map(|id| {
+            let mut request = Request::new(Op::Sweep).with_id(id);
+            request.deadline_ms = Some(0);
+            let response = client.request(&request).expect("request");
+            assert_eq!(response.error_code(), Some(ErrorCode::DeadlineExceeded));
+            let report = health_report(&mut client);
+            if report.status != "ok" {
+                return Some(report);
+            }
+            thread::sleep(Duration::from_millis(250));
+            None
+        })
+        .expect("health never left ok under 60 deadline-0 sweeps");
+    assert!(
+        matches!(report.status.as_str(), "degraded" | "unhealthy"),
+        "{report:?}"
+    );
+    let error_ratio = report
+        .objectives
+        .iter()
+        .find(|o| o.name == "error-ratio")
+        .expect("default objectives include error-ratio");
+    assert_ne!(error_ratio.state, "ok", "{report:?}");
+    assert!(error_ratio.fast_burn >= 1.0, "{report:?}");
+    let events = slo_transitions();
+    assert!(
+        events.iter().any(|e| e.contains(".error-ratio.ok_to_")),
+        "{events:?}"
+    );
+
+    // The storm stops; the fast window drains and health recovers.
+    await_status(&mut client, "ok", Duration::from_secs(10));
+    let events = slo_transitions();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.contains(".error-ratio.") && e.contains("_to_ok")),
         "{events:?}"
     );
     handle.shutdown();
