@@ -42,8 +42,8 @@ pub use point::{
     RECORD_PAYLOAD_BYTES,
 };
 pub use segment::{
-    read_pruned_tallies, replay_dir, replay_dir_segments, ReplayReport, SegmentStore, SegmentTally,
-    StoreConfig, DEFAULT_SEGMENT_BYTES,
+    read_pruned_tallies, replay_dir, ReplayReport, SegmentStore, SegmentTally, StoreConfig,
+    DEFAULT_SEGMENT_BYTES,
 };
 pub use window::{VehicleWindow, WindowEngine, DEFAULT_WINDOW_US};
 
@@ -108,10 +108,12 @@ pub struct Ingestor {
 }
 
 impl Ingestor {
-    /// Opens the ingestor: recovers the segment store (truncating any
-    /// torn tail) when `config.dir` is set, then replays every durable
-    /// record through a fresh window engine — reconstructing the
-    /// pre-crash aggregation state exactly.
+    /// Opens the ingestor: when `config.dir` is set, replays every
+    /// durable record through a fresh window engine — reconstructing the
+    /// pre-crash aggregation state exactly — then recovers the segment
+    /// store, truncating any torn tail. Each segment is read and decoded
+    /// once: the store takes the active segment's valid prefix from the
+    /// replay scan.
     ///
     /// # Errors
     ///
@@ -128,11 +130,10 @@ impl Ingestor {
                     fsync: config.fsync,
                     retain_segments: config.retain_segments,
                 };
-                // Open first: recovery truncates the torn tail, so the
-                // replay below sees exactly the durable record prefix.
-                let mut store = SegmentStore::open(store_config)?;
                 let mut per_segment: Vec<(u64, u64, u64)> = Vec::new();
-                let mut replay = replay_dir_segments(dir, |segment, point| {
+                // The scan folds only each segment's valid record prefix,
+                // so the torn tail the store cuts below never replays.
+                let (mut replay, active) = segment::scan_dir(dir, |segment, point| {
                     points_total += 1;
                     let alert = u64::from(window.observe(point));
                     alerts_total += alert;
@@ -144,6 +145,7 @@ impl Ingestor {
                         _ => per_segment.push((segment, 1, alert)),
                     }
                 })?;
+                let mut store = SegmentStore::open_after_scan(store_config, active)?;
                 // Seed the store's per-segment tallies so a later prune
                 // checkpoints counts for records this process replayed
                 // rather than wrote...
@@ -156,8 +158,8 @@ impl Ingestor {
                 points_total += replay.pruned_points;
                 alerts_total += replay.pruned_alerts;
                 // The tail the store cut during recovery is part of the
-                // crash story the report tells, even though the replay
-                // scan above never sees those bytes.
+                // crash story the report tells; the scan above left it
+                // out, so it is counted once.
                 replay.truncated_bytes += store.truncated_on_open();
                 (Some(store), replay)
             }
@@ -408,6 +410,151 @@ mod tests {
         let third = Ingestor::open(config()).unwrap();
         assert_eq!(third.points_total(), 30);
         assert_eq!(third.alerts_total(), 30);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes 16 points of two vehicles in 4-point batches into 4-record
+    /// segments: four segments, `seg-00000003` the active one.
+    fn four_segment_dir(tag: &str) -> (PathBuf, IngestConfig) {
+        let dir = temp_dir(tag);
+        let config = IngestConfig {
+            segment_bytes: 4 * RECORD_BYTES as u64,
+            ..durable_config(&dir)
+        };
+        let mut points = synthetic_points(5, 8, 77, 1_000_000);
+        points.extend(synthetic_points(6, 8, 78, 1_100_000));
+        points.sort_by_key(|p| (p.ts_us, p.vehicle));
+        let mut ingestor = Ingestor::open(config.clone()).unwrap();
+        for batch in points.chunks(4) {
+            ingestor.ingest(batch, None).unwrap();
+        }
+        (dir, config)
+    }
+
+    /// Cuts the active segment to three records plus a 20-byte torn tail.
+    fn tear_active_tail(dir: &std::path::Path) {
+        let active = dir.join("seg-00000003.seg");
+        let mut bytes = fs::read(&active).unwrap();
+        bytes.truncate(3 * RECORD_BYTES + 20);
+        fs::write(&active, bytes).unwrap();
+    }
+
+    fn active_len(dir: &std::path::Path) -> u64 {
+        fs::metadata(dir.join("seg-00000003.seg")).unwrap().len()
+    }
+
+    fn state_json(ingestor: &Ingestor) -> String {
+        serde_json::to_string(&ingestor.state()).unwrap()
+    }
+
+    #[test]
+    fn open_reports_clean_torn_and_corrupt_sealed_directories_exactly() {
+        // Clean: every record replays, nothing is cut.
+        let (dir, config) = four_segment_dir("pin-clean");
+        let clean = Ingestor::open(config.clone()).unwrap();
+        assert_eq!(
+            *clean.replay_report(),
+            ReplayReport {
+                points: 16,
+                segments: 4,
+                ..ReplayReport::default()
+            }
+        );
+        assert_eq!(active_len(&dir), 4 * RECORD_BYTES as u64);
+        assert_eq!(clean.points_total(), 16);
+        assert_eq!(clean.alerts_total(), 1);
+        assert_eq!(
+            state_json(&clean),
+            "[{\"vehicle\":5,\"points\":8,\"harvested_j\":0.0083372,\
+             \"consumed_j\":0.008,\"net_j\":0.0003372,\"in_deficit\":false,\
+             \"alerts\":0,\"newest_ts_us\":2750000},\
+             {\"vehicle\":6,\"points\":8,\"harvested_j\":0.008163476,\
+             \"consumed_j\":0.008,\"net_j\":0.000163476,\"in_deficit\":false,\
+             \"alerts\":1,\"newest_ts_us\":2850000}]"
+        );
+        drop(clean);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // Torn active tail: the 20 stray bytes are cut once, on open.
+        let (dir, config) = four_segment_dir("pin-torn");
+        tear_active_tail(&dir);
+        let torn = Ingestor::open(config.clone()).unwrap();
+        assert_eq!(
+            *torn.replay_report(),
+            ReplayReport {
+                points: 15,
+                segments: 4,
+                truncated_bytes: 20,
+                ..ReplayReport::default()
+            }
+        );
+        assert_eq!(active_len(&dir), 3 * RECORD_BYTES as u64);
+        assert_eq!(torn.points_total(), 15);
+        assert_eq!(torn.alerts_total(), 1);
+        assert_eq!(
+            state_json(&torn),
+            "[{\"vehicle\":5,\"points\":8,\"harvested_j\":0.0083372,\
+             \"consumed_j\":0.008,\"net_j\":0.0003372,\"in_deficit\":false,\
+             \"alerts\":0,\"newest_ts_us\":2750000},\
+             {\"vehicle\":6,\"points\":7,\"harvested_j\":0.007159023,\
+             \"consumed_j\":0.007,\"net_j\":0.000159023,\"in_deficit\":false,\
+             \"alerts\":1,\"newest_ts_us\":2600000}]"
+        );
+        drop(torn);
+        // The cut is durable: a second open finds nothing to cut.
+        let again = Ingestor::open(config).unwrap();
+        assert_eq!(again.replay_report().truncated_bytes, 0);
+        assert_eq!(again.replay_report().points, 15);
+        drop(again);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // A corrupt record mid-history in sealed segment 1, plus a torn
+        // active tail: replay stops early inside segment 1 and never
+        // reaches the active segment, whose tail the store still cuts.
+        let (dir, config) = four_segment_dir("pin-corrupt");
+        let sealed = dir.join("seg-00000001.seg");
+        let mut bytes = fs::read(&sealed).unwrap();
+        bytes[RECORD_BYTES + 20] ^= 0xff;
+        fs::write(&sealed, bytes).unwrap();
+        tear_active_tail(&dir);
+        let corrupt = Ingestor::open(config.clone()).unwrap();
+        assert_eq!(
+            *corrupt.replay_report(),
+            ReplayReport {
+                points: 5,
+                segments: 2,
+                truncated_bytes: 3 * RECORD_BYTES as u64 + 20,
+                stopped_early: true,
+                ..ReplayReport::default()
+            }
+        );
+        assert_eq!(active_len(&dir), 3 * RECORD_BYTES as u64);
+        assert_eq!(corrupt.points_total(), 5);
+        assert_eq!(corrupt.alerts_total(), 0);
+        assert_eq!(
+            state_json(&corrupt),
+            "[{\"vehicle\":5,\"points\":3,\"harvested_j\":0.003154057,\
+             \"consumed_j\":0.003,\"net_j\":0.000154057,\"in_deficit\":false,\
+             \"alerts\":0,\"newest_ts_us\":1500000},\
+             {\"vehicle\":6,\"points\":2,\"harvested_j\":0.00222322,\
+             \"consumed_j\":0.002,\"net_j\":0.00022322,\"in_deficit\":false,\
+             \"alerts\":0,\"newest_ts_us\":1350000}]"
+        );
+        drop(corrupt);
+        // Sealed segments are never cut, so the mid-history damage is
+        // reported again; the active tail was cut and is not.
+        let again = Ingestor::open(config).unwrap();
+        assert_eq!(
+            *again.replay_report(),
+            ReplayReport {
+                points: 5,
+                segments: 2,
+                truncated_bytes: 3 * RECORD_BYTES as u64,
+                stopped_early: true,
+                ..ReplayReport::default()
+            }
+        );
+        drop(again);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -73,10 +73,13 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// CRC32 (IEEE, reflected — the zlib polynomial) lookup table, built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE, reflected — the zlib polynomial) slice-by-8 lookup
+/// tables, built at compile time. `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight lookups fold eight input bytes
+/// at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -89,18 +92,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE) of `bytes`.
+/// CRC32 (IEEE) of `bytes`, eight bytes per step (slice-by-8).
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"))
+            ^ u64::from(crc);
+        let byte = |at: u32| ((word >> (8 * at)) & 0xff) as usize;
+        crc = t7[byte(0)]
+            ^ t6[byte(1)]
+            ^ t5[byte(2)]
+            ^ t4[byte(3)]
+            ^ t3[byte(4)]
+            ^ t2[byte(5)]
+            ^ t1[byte(6)]
+            ^ t0[byte(7)];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t0[((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     !crc
 }
@@ -158,24 +186,28 @@ impl TelemetryPoint {
     }
 }
 
+/// Walks the longest valid record prefix of `buf`, handing each decoded
+/// point to `fold` in order, and returns how many bytes of valid records
+/// precede the damage (or the end). The one record walker: replay folds
+/// through it without collecting the points, and the store's recovery
+/// scan uses the returned length alone.
+pub(crate) fn for_each_record(buf: &[u8], mut fold: impl FnMut(&TelemetryPoint)) -> usize {
+    let mut at = 0;
+    while let Ok((point, used)) = TelemetryPoint::decode(&buf[at..]) {
+        fold(&point);
+        at += used;
+    }
+    at
+}
+
 /// Decodes the longest valid record prefix of `buf`: the points, and how
-/// many bytes of valid records precede the damage (or the end). This is
-/// the whole recovery story in one function — startup replay calls it
-/// per segment and truncates the active segment to the returned length.
+/// many bytes of valid records precede the damage (or the end) — the
+/// collecting form of the walker startup replay runs per segment.
 #[must_use]
 pub fn decode_prefix(buf: &[u8]) -> (Vec<TelemetryPoint>, usize) {
-    let mut points = Vec::new();
-    let mut at = 0;
-    while at < buf.len() {
-        match TelemetryPoint::decode(&buf[at..]) {
-            Ok((point, used)) => {
-                points.push(point);
-                at += used;
-            }
-            Err(_) => break,
-        }
-    }
-    (points, at)
+    let mut points = Vec::with_capacity(buf.len() / RECORD_BYTES);
+    let used = for_each_record(buf, |point| points.push(*point));
+    (points, used)
 }
 
 /// Deterministic synthetic telemetry for drills, benches and the CLI
@@ -213,6 +245,7 @@ pub fn synthetic_points(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample(i: u64) -> TelemetryPoint {
         TelemetryPoint {
@@ -236,6 +269,43 @@ mod tests {
         assert_eq!(used, buf.len());
         assert_eq!(points.len(), 16);
         assert_eq!(points[3], sample(3));
+    }
+
+    /// The byte-at-a-time table walk `crc32` replaced, kept as its
+    /// reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &byte in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Slice-by-8 equals the byte-wise walk on any bytes: every
+        /// length 0–256 (so every length mod 8), whole and from an
+        /// unaligned offset into the same buffer.
+        fn crc32_matches_the_bytewise_reference(
+            bytes in prop::collection::vec(0u8..=255, 0..=256),
+            skip in 0usize..8,
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+            let tail = &bytes[skip.min(bytes.len())..];
+            prop_assert_eq!(crc32(tail), crc32_bytewise(tail));
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference_at_every_length() {
+        let bytes: Vec<u8> = (0..=264u32).map(|i| (i * 167 + 13) as u8).collect();
+        for start in 0..8 {
+            for end in start..bytes.len() {
+                let slice = &bytes[start..end];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "{start}..{end}");
+            }
+        }
     }
 
     #[test]

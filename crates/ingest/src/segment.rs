@@ -15,7 +15,9 @@
 //!   so a `kill -9` can leave at most a partial batch at the end of the
 //!   *active* segment. [`SegmentStore::open`] scans the last segment,
 //!   truncates it to its longest valid record prefix, and the store is
-//!   clean again.
+//!   clean again. [`crate::Ingestor::open`] reads each segment once:
+//!   its replay scan hands the store the active segment's valid prefix,
+//!   so the store cuts the tail without decoding the segment again.
 //!
 //! Fault injection hooks ([`FaultKind::TornWrite`], [`FaultKind::ShortFsync`],
 //! [`FaultKind::FailFsync`]) reproduce the crash artifacts
@@ -32,14 +34,14 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use monityre_faults::{FaultKind, FaultPlan};
 use monityre_obs::names::{INGEST_APPEND, INGEST_FSYNC};
 use serde::{Deserialize, Serialize};
 
-use crate::point::{decode_prefix, TelemetryPoint, RECORD_BYTES};
+use crate::point::{for_each_record, TelemetryPoint, RECORD_BYTES};
 
 /// File extension of a segment.
 const SEGMENT_EXT: &str = "seg";
@@ -225,23 +227,37 @@ fn poisoned_error() -> io::Error {
 /// record bytes are not an error — replay stops cleanly at the last
 /// valid record of the damaged segment.
 pub fn replay_dir(dir: &Path, mut fold: impl FnMut(&TelemetryPoint)) -> io::Result<ReplayReport> {
-    replay_dir_segments(dir, |_, point| fold(point))
+    let (mut report, active) = scan_dir(dir, |_, point| fold(point))?;
+    if let Some(active) = active {
+        report.truncated_bytes += active.len - active.valid;
+    }
+    Ok(report)
 }
 
-/// [`replay_dir`] with the segment index of each record exposed to the
-/// fold — callers that maintain per-segment tallies (the retention
-/// checkpoint) need to know which segment a replayed record came from.
-///
-/// # Errors
-///
-/// Propagates I/O errors reading the directory or segments.
-pub fn replay_dir_segments(
+/// What a replay scan found in the last (active) segment: its index, its
+/// length, and the bytes of its longest valid record prefix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ActiveScan {
+    index: u64,
+    len: u64,
+    valid: u64,
+}
+
+/// The replay scan behind [`replay_dir`] and [`crate::Ingestor::open`]:
+/// reads each segment once and folds its valid records, with the segment
+/// index of each (the retention checkpoint's per-segment tallies need
+/// it). The report leaves the active segment's torn tail out of
+/// `truncated_bytes`; the scan of that segment comes back instead
+/// (`None` when there is no segment, or when damage before the active
+/// tail stopped the scan early), so [`SegmentStore::open_after_scan`]
+/// can cut the tail without reading the segment again.
+pub(crate) fn scan_dir(
     dir: &Path,
     mut fold: impl FnMut(u64, &TelemetryPoint),
-) -> io::Result<ReplayReport> {
+) -> io::Result<(ReplayReport, Option<ActiveScan>)> {
     let mut report = ReplayReport::default();
     if !dir.exists() {
-        return Ok(report);
+        return Ok((report, None));
     }
     let (pruned_points, pruned_alerts) = read_pruned_tallies(dir)?;
     report.pruned_points = pruned_points;
@@ -249,27 +265,29 @@ pub fn replay_dir_segments(
     let segments = segment_files(dir)?;
     let last = segments.len().saturating_sub(1);
     for (at, (index, path)) in segments.iter().enumerate() {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
+        let bytes = fs::read(path)?;
         report.segments += 1;
-        let (points, used) = decode_prefix(&bytes);
-        report.points += points.len() as u64;
-        for point in &points {
-            fold(*index, point);
+        let valid = for_each_record(&bytes, |point| fold(*index, point));
+        report.points += (valid / RECORD_BYTES) as u64;
+        if at == last {
+            let scan = ActiveScan {
+                index: *index,
+                len: bytes.len() as u64,
+                valid: valid as u64,
+            };
+            return Ok((report, Some(scan)));
         }
-        if used < bytes.len() {
-            report.truncated_bytes += (bytes.len() - used) as u64;
-            if at < last {
-                // Damage before the active tail is disk corruption, not
-                // a crash artifact. Later segments were written after
-                // the damaged records, so folding them would replay a
-                // different order than the live run saw — stop instead.
-                report.stopped_early = true;
-                return Ok(report);
-            }
+        if valid < bytes.len() {
+            // Damage before the active tail is disk corruption, not a
+            // crash artifact. Later segments were written after the
+            // damaged records, so folding them would replay a different
+            // order than the live run saw — stop instead.
+            report.truncated_bytes += (bytes.len() - valid) as u64;
+            report.stopped_early = true;
+            return Ok((report, None));
         }
     }
-    Ok(report)
+    Ok((report, None))
 }
 
 impl SegmentStore {
@@ -281,26 +299,37 @@ impl SegmentStore {
     ///
     /// Propagates directory/file I/O errors.
     pub fn open(config: StoreConfig) -> io::Result<Self> {
+        Self::open_after_scan(config, None)
+    }
+
+    /// [`SegmentStore::open`] given replay's scan of the active segment:
+    /// when `scan` covers the segment the store is about to append to,
+    /// its valid prefix is trusted and the segment is not decoded again;
+    /// otherwise the store scans the segment itself.
+    pub(crate) fn open_after_scan(
+        config: StoreConfig,
+        scan: Option<ActiveScan>,
+    ) -> io::Result<Self> {
         fs::create_dir_all(&config.dir)?;
         let segments = segment_files(&config.dir)?;
         let (active_index, active_path) = match segments.last() {
             Some((index, path)) => (*index, path.clone()),
             None => (0, segment_path(&config.dir, 0)),
         };
-        // Scan the active segment and cut the torn tail, if any.
-        let mut active_bytes = 0u64;
-        let mut truncated_on_open = 0u64;
-        if active_path.exists() {
-            let mut bytes = Vec::new();
-            File::open(&active_path)?.read_to_end(&mut bytes)?;
-            let (_, valid) = decode_prefix(&bytes);
-            if valid < bytes.len() {
-                truncated_on_open = (bytes.len() - valid) as u64;
-                let file = OpenOptions::new().write(true).open(&active_path)?;
-                file.set_len(valid as u64)?;
-                file.sync_data()?;
+        let (len, valid) = match scan {
+            Some(scan) if scan.index == active_index => (scan.len, scan.valid),
+            _ if active_path.exists() => {
+                let bytes = fs::read(&active_path)?;
+                let valid = for_each_record(&bytes, |_| {});
+                (bytes.len() as u64, valid as u64)
             }
-            active_bytes = valid as u64;
+            _ => (0, 0),
+        };
+        // Cut the torn tail, if any.
+        if valid < len {
+            let file = OpenOptions::new().write(true).open(&active_path)?;
+            file.set_len(valid)?;
+            file.sync_data()?;
         }
         let active = OpenOptions::new()
             .create(true)
@@ -311,8 +340,8 @@ impl SegmentStore {
             active: Some(active),
             active_path,
             active_index,
-            active_bytes,
-            truncated_on_open,
+            active_bytes: valid,
+            truncated_on_open: len - valid,
             buf: Vec::new(),
             tallies: HashMap::new(),
         })

@@ -108,15 +108,20 @@ impl WindowEngine {
     /// vehicle across the not-deficit → deficit edge (a fresh alert).
     pub fn observe(&mut self, point: &TelemetryPoint) -> bool {
         let state = self.vehicles.entry(point.vehicle).or_default();
-        // Insert in timestamp order (O(1) for the in-order common case,
-        // a short scan for stragglers) so front-eviction sees exactly
-        // the expired prefix even when points arrive out of order.
-        let at = state
-            .points
-            .partition_point(|&(ts, _, _)| ts <= point.ts_us);
-        state
-            .points
-            .insert(at, (point.ts_us, point.harvested_nj, point.consumed_nj));
+        // Keep the deque in timestamp order so front-eviction sees exactly
+        // the expired prefix even when points arrive out of order. The
+        // in-order common case appends in O(1); only a straggler pays the
+        // binary search (which would return `len` for an in-order point).
+        let entry = (point.ts_us, point.harvested_nj, point.consumed_nj);
+        match state.points.back() {
+            Some(&(back_ts, _, _)) if back_ts > point.ts_us => {
+                let at = state
+                    .points
+                    .partition_point(|&(ts, _, _)| ts <= point.ts_us);
+                state.points.insert(at, entry);
+            }
+            _ => state.points.push_back(entry),
+        }
         state.harvested_nj += u128::from(point.harvested_nj);
         state.consumed_nj += u128::from(point.consumed_nj);
         state.newest_ts_us = state.newest_ts_us.max(point.ts_us);
@@ -193,6 +198,7 @@ fn window_of(vehicle: u64, state: &VehicleState) -> VehicleWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn point(vehicle: u64, ts_us: u64, harvested: u64, consumed: u64) -> TelemetryPoint {
         TelemetryPoint {
@@ -270,5 +276,84 @@ mod tests {
             serde_json::to_string(&a.snapshot()).unwrap(),
             serde_json::to_string(&b.snapshot()).unwrap()
         );
+    }
+
+    /// The engine before its in-order fast path: every point goes
+    /// through the binary-search insert. Returns the snapshot.
+    fn insert_only_snapshot(window_us: u64, points: &[TelemetryPoint]) -> Vec<VehicleWindow> {
+        let mut vehicles: BTreeMap<u64, VehicleState> = BTreeMap::new();
+        for point in points {
+            let state = vehicles.entry(point.vehicle).or_default();
+            let at = state
+                .points
+                .partition_point(|&(ts, _, _)| ts <= point.ts_us);
+            state
+                .points
+                .insert(at, (point.ts_us, point.harvested_nj, point.consumed_nj));
+            state.harvested_nj += u128::from(point.harvested_nj);
+            state.consumed_nj += u128::from(point.consumed_nj);
+            state.newest_ts_us = state.newest_ts_us.max(point.ts_us);
+            let cutoff = state.newest_ts_us.saturating_sub(window_us);
+            while let Some(&(ts, harvested, consumed)) = state.points.front() {
+                if ts > cutoff {
+                    break;
+                }
+                state.points.pop_front();
+                state.harvested_nj -= u128::from(harvested);
+                state.consumed_nj -= u128::from(consumed);
+            }
+            let deficit = state.harvested_nj < state.consumed_nj;
+            if deficit && !state.in_deficit {
+                state.alerts += 1;
+            }
+            state.in_deficit = deficit;
+        }
+        vehicles
+            .iter()
+            .map(|(&vehicle, state)| window_of(vehicle, state))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Jittered, partly out-of-order streams (ties, stragglers older
+        /// than the window, bursts ahead) fold to the same snapshot bytes
+        /// with the fast path as through the insert-only reference.
+        fn in_order_fast_path_matches_the_insert_only_reference(
+            steps in prop::collection::vec(
+                (0u64..3, 0u64..40, 0u64..4, 0u64..1_500, 0u64..1_500),
+                1..200,
+            ),
+            window_us in 1u64..400,
+        ) {
+            let mut engine = WindowEngine::new(window_us);
+            let mut points = Vec::new();
+            let mut base = 0u64;
+            for (i, &(vehicle, advance, shape, harvested, consumed)) in steps.iter().enumerate() {
+                base += advance;
+                // Shape 0 sends a straggler up to 276 µs late, 1 a tie
+                // with the base clock, the rest an in-order point.
+                let ts_us = match shape {
+                    0 => base.saturating_sub(advance * 7 + 3),
+                    1 => base,
+                    _ => base + advance / 2,
+                };
+                let point = TelemetryPoint {
+                    vehicle,
+                    wheel: 0,
+                    round: i as u64,
+                    ts_us,
+                    harvested_nj: harvested,
+                    consumed_nj: consumed,
+                };
+                engine.observe(&point);
+                points.push(point);
+            }
+            prop_assert_eq!(
+                serde_json::to_string(&engine.snapshot()).unwrap(),
+                serde_json::to_string(&insert_only_snapshot(engine.window_us(), &points)).unwrap()
+            );
+        }
     }
 }
